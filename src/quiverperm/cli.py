@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .formula import TrackedState, Verdict, verify
-from .picture import word_from_sequence
+from .picture import PictureWord
 from .quiver import (ExchangeMatrix, apply_sequence, format_state, framed,
-                     state_to_dot, state_to_json, vertex_color)
+                     matrix_from_json, state_to_dot, state_to_json,
+                     vertex_color)
 from .search import (build_exchange_graph, enumerate_loops, enumerate_mgs,
                      graph_to_dot, mgs_census)
 from .standard import factor_standard, is_standard
@@ -28,12 +29,10 @@ from .standard import factor_standard, is_standard
 @dataclass(frozen=True)
 class RunConfig:
     n: int = 2
-    command: str = ""
     max_depth: Optional[int] = None
     seed: Optional[int] = None
     output_path: Optional[str] = None
     format: str = "text"
-    workers: int = 1
     b0: Optional[ExchangeMatrix] = None
     corrupt_formula: bool = False
 
@@ -42,8 +41,6 @@ class RunConfig:
             raise ValueError("--n must be at least 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("--max-depth must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("--workers must be at least 1")
 
     @property
     def exchange_matrix(self) -> ExchangeMatrix:
@@ -84,9 +81,9 @@ def cmd_mutate(config: RunConfig, sequence: Optional[tuple[int, ...]]) -> int:
         else:
             sequence = ()
     if config.straight:
-        word = word_from_sequence(start, sequence)
         tracked = TrackedState.from_state(start).run(sequence)
         end = tracked.state
+        word = PictureWord(tracked.factors)
         sigma = tracked.sigma
     else:
         end = apply_sequence(start, sequence)
@@ -125,7 +122,7 @@ def cmd_verify(config: RunConfig) -> int:
     start = framed(config.exchange_matrix)
     checks: list[tuple[str, tuple[int, ...]]] = [
         ("mgs", r.sequence)
-        for r in enumerate_mgs(config.n, workers=config.workers)]
+        for r in enumerate_mgs(config.n)]
     if config.max_depth:
         checks.extend(("loop", r.sequence)
                       for r in enumerate_loops(start, config.max_depth))
@@ -193,8 +190,7 @@ def cmd_export_dot(config: RunConfig) -> int:
 
 
 def cmd_check_standard(config: RunConfig, matrix_text: str) -> int:
-    rows = json.loads(matrix_text)
-    c = tuple(tuple(int(x) for x in row) for row in rows)
+    c = matrix_from_json(json.loads(matrix_text))
     if any(len(row) != len(c) for row in c):
         raise ValueError("matrix must be square")
     with _output(config) as fp:
@@ -223,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output to this file instead of stdout")
     common.add_argument("--format", choices=["json", "dot", "text"],
                         default="text", help="output format (default text)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for enumeration sweeps")
     common.add_argument("--seed", type=int,
                         help="seed for the randomized walk of `mutate`")
     common.add_argument("--max-depth", type=int, dest="max_depth",
@@ -261,17 +255,16 @@ def _load_b0(path: Optional[str]) -> Optional[ExchangeMatrix]:
     if path is None:
         return None
     with open(path) as fp:
-        rows = json.load(fp)
-    return ExchangeMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return ExchangeMatrix(matrix_from_json(json.load(fp)))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = RunConfig(
-            n=args.n, command=args.command, max_depth=args.max_depth,
-            seed=args.seed, output_path=args.output_path, format=args.format,
-            workers=args.workers, b0=_load_b0(args.b0_file),
+            n=args.n, max_depth=args.max_depth, seed=args.seed,
+            output_path=args.output_path, format=args.format,
+            b0=_load_b0(args.b0_file),
             corrupt_formula=getattr(args, "corrupt_formula", False))
         if args.command == "mutate":
             seq = (_parse_sequence(args.sequence)

@@ -7,10 +7,12 @@ relabeling of mutable vertices is
 
     sigma o t_1 o t_2 o ... o t_N o sigma^{-1}
 
-``verify`` compares that prediction against an independent observation:
-the row permutation relating the endpoint to the coframe (reddening
-sequences) or to the start (loop sequences).  Arbitrary sequences carry a
-predicted value but nothing to compare it with.
+``verify`` walks each sequence once, with a ``TrackedState``, and compares
+that prediction against an independent observation: the row permutation
+relating the endpoint to the coframe (reddening sequences) or to the start
+(loop sequences).  The observation is read off the endpoint alone, never
+from the tracked sigma.  Arbitrary sequences carry a predicted value but
+nothing to compare it with.
 """
 
 from __future__ import annotations
@@ -20,16 +22,11 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .perm import Permutation
-from .picture import PictureWord, SignedGenerator, allowed, word_from_sequence
+from .picture import (PictureWord, SignedGenerator, allowed, step,
+                      transposition_of)
 from .quiver import (ExchangeMatrix, ExtendedExchangeMatrix, apply_sequence,
-                     coframed, find_row_permutation, framed, is_all_red, mutate)
-from .roots import vector_to_signed_root
+                     coframed, find_row_permutation, framed, is_all_red)
 from .standard import factor_standard
-
-
-def transposition_of(g: SignedGenerator, n: int) -> Permutation:
-    """(i+1 j) for the generator of root (i, j); identity for simple roots."""
-    return Permutation.transposition(n, g.root.i + 1, g.root.j)
 
 
 def formula_permutation(w: PictureWord, sigma: Permutation) -> Permutation:
@@ -41,7 +38,8 @@ def formula_permutation(w: PictureWord, sigma: Permutation) -> Permutation:
 
 @dataclass(frozen=True)
 class TrackedState:
-    """A state together with the permutation part of its c-matrix.
+    """A state together with the permutation part of its c-matrix and the
+    generators applied so far (``factors``, in application order).
 
     The invariant ``factor_standard(state.c).rho == sigma`` holds after
     every step; stepping maintains it incrementally instead of refactoring.
@@ -49,6 +47,7 @@ class TrackedState:
 
     state: ExtendedExchangeMatrix
     sigma: Permutation
+    factors: tuple[SignedGenerator, ...] = ()
 
     @classmethod
     def from_state(cls, m: ExtendedExchangeMatrix) -> "TrackedState":
@@ -64,17 +63,25 @@ class TrackedState:
         return self.step_vertex(k)
 
     def step_vertex(self, k: int) -> "TrackedState":
-        sr = vector_to_signed_root(self.state.c_row(k))
-        if sr is None:
-            raise ValueError(f"c-vector of vertex {k} is not a signed root")
-        t = Permutation.transposition(self.state.n, sr.root.i + 1, sr.root.j)
-        return TrackedState(mutate(self.state, k), self.sigma * t)
+        g, nxt = step(self.state, k)
+        return TrackedState(nxt, self.sigma * transposition_of(g, nxt.n),
+                            self.factors + (g,))
 
     def run(self, seq: Sequence[int]) -> "TrackedState":
         cur = self
         for k in seq:
             cur = cur.step_vertex(k)
         return cur
+
+
+def _coframe_permutation(m: ExtendedExchangeMatrix,
+                         end: ExtendedExchangeMatrix) -> Permutation:
+    """The row permutation carrying the coframe of ``m`` to the all-red
+    endpoint ``end``."""
+    rho = find_row_permutation(coframed(ExchangeMatrix(m.b)), end)
+    if rho is None:
+        raise ValueError("all-red endpoint is not a row permutation of the coframe")
+    return rho
 
 
 def is_reddening(m: ExtendedExchangeMatrix, seq: Sequence[int]) -> bool:
@@ -94,13 +101,12 @@ def is_loop(m: ExtendedExchangeMatrix,
 def observed_reddening_permutation(m: ExtendedExchangeMatrix,
                                    seq: Sequence[int]) -> Permutation:
     """The row permutation carrying the coframe to the all-red endpoint."""
-    if not is_reddening(m, seq):
-        raise ValueError("sequence is not reddening")
+    if m != framed(ExchangeMatrix(m.b)):
+        raise ValueError("reddening sequences are defined from a framed state")
     end = apply_sequence(m, seq)
-    rho = find_row_permutation(coframed(ExchangeMatrix(m.b)), end)
-    if rho is None:
-        raise ValueError("all-red endpoint is not a row permutation of the coframe")
-    return rho
+    if not is_all_red(end):
+        raise ValueError("sequence is not reddening")
+    return _coframe_permutation(m, end)
 
 
 class Verdict(Enum):
@@ -132,30 +138,30 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
            corrupt: bool = False) -> FormulaReport:
     """Predict the permutation of one sequence and compare where possible.
 
-    The observation is independent of the prediction: for a reddening
-    sequence it is the row permutation from the coframe to the endpoint,
-    for a loop the row permutation from the start.  A sequence that is
-    neither has nothing to compare against and reports NotApplicable.
-    Raises ``ValueError`` when the starting c-matrix does not factor.
+    The sequence is walked once, by ``TrackedState.run``; the prediction is
+    the formula on the word that walk spells.  The observation is
+    independent of the prediction: it is read off the endpoint alone, never
+    from the tracked sigma.  For a reddening sequence it is the row
+    permutation from the coframe to the endpoint, for a loop the row
+    permutation from the start.  A sequence that is neither has nothing to
+    compare against and reports NotApplicable.  Raises ``ValueError`` when
+    the starting c-matrix does not factor.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
     """
-    word = word_from_sequence(m, seq)
-    start = factor_standard(m.c)
-    if start is None:
-        raise ValueError("starting c-matrix does not factor through a "
-                         "standard matrix")
-    sigma = start.rho
-    predicted = formula_permutation(word, sigma)
+    start = TrackedState.from_state(m)
+    end = start.run(seq)
+    word = PictureWord(end.factors)
+    predicted = formula_permutation(word, start.sigma)
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
-    if m == framed(ExchangeMatrix(m.b)) and is_reddening(m, seq):
-        observed = observed_reddening_permutation(m, seq)
+    if m == framed(ExchangeMatrix(m.b)) and is_all_red(end.state):
+        observed = _coframe_permutation(m, end.state)
     else:
-        observed = is_loop(m, seq)
+        observed = find_row_permutation(m, end.state)
     if observed is None:
-        return FormulaReport(word, sigma, predicted, None,
+        return FormulaReport(word, start.sigma, predicted, None,
                              Verdict.NOT_APPLICABLE)
     verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
-    return FormulaReport(word, sigma, predicted, observed, verdict)
+    return FormulaReport(word, start.sigma, predicted, observed, verdict)

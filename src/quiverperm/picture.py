@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+from .perm import Permutation
 from .quiver import ExtendedExchangeMatrix, find_row_permutation, mutate
 from .roots import Root, root_to_vector, vector_to_signed_root
 
@@ -88,18 +89,30 @@ def act(m: ExtendedExchangeMatrix,
     return mutate(m, k)
 
 
+def transposition_of(g: SignedGenerator, n: int) -> Permutation:
+    """(i+1 j) for the generator of root (i, j); identity for simple roots."""
+    return Permutation.transposition(n, g.root.i + 1, g.root.j)
+
+
+def step(m: ExtendedExchangeMatrix,
+         k: int) -> tuple[SignedGenerator, ExtendedExchangeMatrix]:
+    """Mutate at ``k``: the signed generator spelled by the c-vector of
+    ``k`` before the mutation, and the state after it."""
+    sr = vector_to_signed_root(m.c_row(k))
+    if sr is None:
+        raise ValueError(
+            f"c-vector of vertex {k} is not a signed root: {m.c_row(k)}")
+    return SignedGenerator(sr.root, sr.sign), mutate(m, k)
+
+
 def word_from_sequence(m: ExtendedExchangeMatrix,
                        seq: Sequence[int]) -> PictureWord:
-    """Translate a mutation sequence into the word it spells: each step
-    records the signed root of the c-vector being mutated."""
+    """Translate a mutation sequence into the word it spells, one ``step``
+    per vertex."""
     factors = []
     for k in seq:
-        sr = vector_to_signed_root(m.c_row(k))
-        if sr is None:
-            raise ValueError(
-                f"c-vector of vertex {k} is not a signed root: {m.c_row(k)}")
-        factors.append(SignedGenerator(sr.root, sr.sign))
-        m = mutate(m, k)
+        g, m = step(m, k)
+        factors.append(g)
     return PictureWord(tuple(factors))
 
 

@@ -231,10 +231,22 @@ def state_to_json(m: ExtendedExchangeMatrix) -> dict:
             "c": [list(row) for row in m.c]}
 
 
+def matrix_from_json(rows) -> IntMatrix:
+    """An integer matrix from decoded JSON: a list of rows, each a list of
+    integers.  Anything else, floats and booleans included, raises
+    ``ValueError`` rather than being truncated."""
+    if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) and all(type(x) is int for x in row)
+            for row in rows):
+        raise ValueError("matrix must be a list of rows of integers")
+    return _as_matrix(rows)
+
+
 def state_from_json(data: dict | str) -> ExtendedExchangeMatrix:
     if isinstance(data, str):
         data = json.loads(data)
-    m = ExtendedExchangeMatrix(_as_matrix(data["b"]), _as_matrix(data["c"]))
+    m = ExtendedExchangeMatrix(matrix_from_json(data["b"]),
+                               matrix_from_json(data["c"]))
     if m.n != data.get("n", m.n):
         raise ValueError("declared size does not match matrix size")
     return m

@@ -3,8 +3,7 @@ exchange graph of c-matrices.
 
 Everything here is deterministic.  Depth-first searches visit mutation
 directions in increasing vertex order, so enumerations come out in
-lexicographic order; when a search is fanned out across workers the
-collected results are sorted back into that order.
+lexicographic order.
 
 Counting functions deliberately use a different traversal style than their
 enumerating counterparts (breadth-first level counts against depth-first
@@ -15,7 +14,6 @@ between the two is evidence, not tautology.
 from __future__ import annotations
 
 import json
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -23,11 +21,11 @@ from typing import IO, Optional
 
 from .formula import TrackedState
 from .perm import Permutation
-from .picture import PictureWord, SignedGenerator
+from .picture import PictureWord
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
                      find_row_permutation, framed, mutate, reconstructed_b,
                      vertex_color)
-from .roots import vector_to_signed_root
+from .standard import is_standard
 
 
 @dataclass
@@ -56,7 +54,6 @@ class ExchangeGraph:
         return self.nodes[key]
 
     def standard_nodes(self) -> list[ExtendedExchangeMatrix]:
-        from .standard import is_standard
         return [m for key, m in self.nodes.items() if is_standard(key)]
 
 
@@ -123,58 +120,35 @@ def _green_vertices(state: ExtendedExchangeMatrix) -> list[int]:
             if vertex_color(state, k) is Color.GREEN]
 
 
-def enumerate_mgs(n: int, max_len: Optional[int] = None,
-                  workers: int = 1) -> list[MGSResult]:
+def enumerate_mgs(n: int, max_len: Optional[int] = None) -> list[MGSResult]:
     """All maximal green sequences of straight A_n, lexicographic order.
 
     A sequence is emitted when no green vertex remains.  Each result
     carries the word it spells and the permutation predicted by the
     transposition product.  ``max_len`` abandons longer prefixes; finite
-    type never needs it.  ``workers`` > 1 splits the top-level branches
-    across threads; the result is identical.
+    type never needs it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    start = TrackedState.from_state(framed(ExchangeMatrix.straight_a(n)))
     out: list[MGSResult] = []
-    lock = threading.Lock()
+    seq: list[int] = []
 
-    def dfs(ts: TrackedState, seq: list[int],
-            factors: list[SignedGenerator], sink: list[MGSResult]):
+    # the results are passed in, not closed over: a recursive closure is a
+    # reference cycle, which would keep them alive until the next collection
+    def dfs(ts: TrackedState, sink: list[MGSResult]):
         greens = _green_vertices(ts.state)
         if not greens:
-            sink.append(MGSResult(tuple(seq), PictureWord(tuple(factors)),
+            sink.append(MGSResult(tuple(seq), PictureWord(ts.factors),
                                   ts.sigma))
             return
         if max_len is not None and len(seq) >= max_len:
             return
         for k in greens:
-            sr = vector_to_signed_root(ts.state.c_row(k))
             seq.append(k)
-            factors.append(SignedGenerator(sr.root, sr.sign))
-            dfs(ts.step_vertex(k), seq, factors, sink)
+            dfs(ts.step_vertex(k), sink)
             seq.pop()
-            factors.pop()
 
-    if workers <= 1:
-        dfs(start, [], [], out)
-        return out
-
-    def branch(k: int):
-        sr = vector_to_signed_root(start.state.c_row(k))
-        local: list[MGSResult] = []
-        dfs(start.step_vertex(k), [k], [SignedGenerator(sr.root, sr.sign)],
-            local)
-        with lock:
-            out.extend(local)
-
-    threads = [threading.Thread(target=branch, args=(k,))
-               for k in _green_vertices(start.state)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    out.sort(key=lambda r: r.sequence)
+    dfs(TrackedState.from_state(framed(ExchangeMatrix.straight_a(n))), out)
     return out
 
 

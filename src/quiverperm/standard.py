@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .perm import Permutation
+from .picture import act, transposition_of
 from .quiver import ExtendedExchangeMatrix, IntMatrix, permute_rows
 from .roots import SignedRoot, vector_to_signed_root
 
@@ -79,10 +80,7 @@ def check_preservation(state: ExtendedExchangeMatrix, g) -> bool:
     Raises ``ValueError`` when ``g`` is not allowed on the state or the
     state's c-matrix is not standard.
     """
-    from .picture import act
-
     if not is_standard(state.c):
         raise ValueError("state's c-matrix is not standard")
     acted = act(state, g)
-    swap = Permutation.transposition(state.n, g.root.i + 1, g.root.j)
-    return is_standard(permute_rows(acted, swap).c)
+    return is_standard(permute_rows(acted, transposition_of(g, state.n)).c)

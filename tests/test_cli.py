@@ -91,7 +91,7 @@ def test_verify_with_loops(capsys):
 
 
 def test_verify_rank3(capsys):
-    code, out, err = run(capsys, "verify", "--n", "3", "--workers", "2")
+    code, out, err = run(capsys, "verify", "--n", "3")
     assert code == 0
     assert "9 sequences checked, 0 mismatches" in out
 
@@ -180,6 +180,30 @@ def test_check_standard_bad_input(capsys):
     assert code == 2
 
 
+# parsed JSON that is not a list of integer rows: floats and booleans are
+# not truncated to integers, and non-list input does not crash
+MALFORMED_MATRICES = ["5", "[1, 2]", "[[1.5]]", "[[true]]", '[["1"]]']
+
+
+@pytest.mark.parametrize("text", MALFORMED_MATRICES)
+def test_check_standard_rejects_malformed_matrix(capsys, text):
+    code, out, err = run(capsys, "check-standard", text)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", ["7", "[[0, 1.9], [-1.9, 0]]",
+                                  "[[0, true], [-1, 0]]", "[[0, 1], 5]"])
+def test_b0_file_rejects_malformed_matrix(tmp_path, capsys, text):
+    b0 = tmp_path / "b0.json"
+    b0.write_text(text)
+    code, out, err = run(capsys, "mutate", "--b0-file", str(b0))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_b0_file_mutate(tmp_path, capsys):
     b0 = tmp_path / "b0.json"
     b0.write_text("[[0, 2], [-2, 0]]")
@@ -205,7 +229,6 @@ def test_b0_file_missing(capsys):
 
 def test_bad_flags(capsys):
     assert run(capsys, "verify", "--n", "0")[0] == 2
-    assert run(capsys, "verify", "--workers", "0")[0] == 2
     assert run(capsys, "mutate", "--max-depth", "-1")[0] == 2
 
 

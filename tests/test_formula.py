@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
                         PictureWord, Root, SignedGenerator, TrackedState,
-                        Verdict, apply_sequence, factor_standard, framed,
-                        formula_permutation, is_loop, is_reddening, mutate,
-                        observed_reddening_permutation, transposition_of,
-                        verify, word_from_sequence)
+                        Verdict, apply_sequence, build_exchange_graph,
+                        enumerate_loops, enumerate_mgs, factor_standard,
+                        framed, formula_permutation, is_loop, is_reddening,
+                        mutate, observed_reddening_permutation,
+                        transposition_of, verify, word_from_sequence)
 
 A2 = ExchangeMatrix.straight_a(2)
 
@@ -149,6 +150,31 @@ def test_verify_reddening_sequences():
     assert report.observed_perm == swap
     assert report.word == word_from_sequence(m, (2, 1, 2))
     assert verify(m, (1, 2)).formula_perm.is_identity()
+
+
+def _assert_one_walk_matches_standalone(m, seq, observed):
+    report = verify(m, seq)
+    word = word_from_sequence(m, seq)
+    sigma = factor_standard(m.c).rho
+    assert TrackedState.from_state(m).run(seq).factors == word.factors
+    assert report.word == word
+    assert report.sigma == sigma
+    assert report.formula_perm == formula_permutation(word, sigma)
+    assert report.observed_perm == observed
+    assert report.verdict is Verdict.MATCH
+
+
+def test_verify_one_walk_matches_standalone_pieces():
+    # verify walks each sequence once; every field of its report must equal
+    # what the separate replays compute
+    m = framed(ExchangeMatrix.straight_a(4))
+    for r in enumerate_mgs(4):
+        _assert_one_walk_matches_standalone(
+            m, r.sequence, observed_reddening_permutation(m, r.sequence))
+    for state in build_exchange_graph(3).nodes.values():
+        for loop in enumerate_loops(state, 4):
+            _assert_one_walk_matches_standalone(
+                state, loop.sequence, is_loop(state, loop.sequence))
 
 
 def test_verify_loop_from_unframed_start():

@@ -207,6 +207,16 @@ def test_json_round_trip():
         state_from_json(data)
 
 
+@pytest.mark.parametrize("c", [[[1, 0], [0, 1.5]], [[True, 0], [0, 1]],
+                               [[1, 0], 1], 7])
+def test_state_from_json_rejects_non_integer_entries(c):
+    data = {"n": 2, "b": [[0, 1], [-1, 0]], "c": c}
+    with pytest.raises(ValueError):
+        state_from_json(data)
+    with pytest.raises(ValueError):
+        state_from_json(json.dumps(data))
+
+
 def test_dot_output():
     dot = state_to_dot(framed(A2))
     assert dot.startswith("digraph quiver {")

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
@@ -57,9 +59,19 @@ def test_mgs_antichain_and_order():
                 assert a != b[:len(a)]
 
 
-def test_enumerate_mgs_workers_agree():
-    assert enumerate_mgs(3, workers=2) == enumerate_mgs(3)
-    assert enumerate_mgs(4, workers=4) == enumerate_mgs(4)
+def test_enumerate_mgs_frees_results_without_a_collection():
+    # results held by a reference cycle would outlive the caller's list
+    # until the next cyclic collection
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        results = enumerate_mgs(3)
+        first = weakref.ref(results[0])
+        del results
+        assert first() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_enumerate_mgs_max_len():
