@@ -232,13 +232,13 @@ def state_to_json(m: ExtendedExchangeMatrix) -> dict:
 
 
 def matrix_from_json(rows) -> IntMatrix:
-    """An integer matrix from decoded JSON: a list of rows, each a list of
-    integers.  Anything else, floats and booleans included, raises
+    """An integer matrix from decoded JSON: a nonempty list of rows, each a
+    list of integers.  Anything else, floats and booleans included, raises
     ``ValueError`` rather than being truncated."""
-    if not isinstance(rows, (list, tuple)) or not all(
+    if not isinstance(rows, (list, tuple)) or not rows or not all(
             isinstance(row, (list, tuple)) and all(type(x) is int for x in row)
             for row in rows):
-        raise ValueError("matrix must be a list of rows of integers")
+        raise ValueError("matrix must be a nonempty list of rows of integers")
     return _as_matrix(rows)
 
 
@@ -283,12 +283,16 @@ def state_to_dot(m: ExtendedExchangeMatrix, name: str = "quiver") -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_matrix(*blocks: IntMatrix) -> str:
+    """Aligned text rendering of matrices of equal height side by side,
+    separated by ``|``, with one column width for every entry."""
+    width = max(len(str(x)) for block in blocks for row in block for x in row)
+    return "\n".join(
+        "[ " + " | ".join(" ".join(f"{x:>{width}}" for x in row)
+                          for row in rows) + " ]"
+        for rows in zip(*blocks))
+
+
 def format_state(m: ExtendedExchangeMatrix) -> str:
     """Aligned text rendering of [B | C]."""
-    width = max(len(str(x)) for row in (*m.b, *m.c) for x in row)
-    lines = []
-    for i in range(m.n):
-        left = " ".join(f"{x:>{width}}" for x in m.b[i])
-        right = " ".join(f"{x:>{width}}" for x in m.c[i])
-        lines.append(f"[ {left} | {right} ]")
-    return "\n".join(lines)
+    return format_matrix(m.b, m.c)

@@ -27,6 +27,17 @@ from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
                      vertex_color)
 from .standard import is_standard
 
+MAX_N = 5
+"""Largest rank the exhaustive traversals accept.  At n = 5 the exchange
+graph has 15840 states and there are 2981 maximal green sequences; n = 6
+has 308880 states, beyond a desk-scale run."""
+
+
+def _straight_a(n: int) -> ExchangeMatrix:
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the size bound MAX_N={MAX_N}")
+    return ExchangeMatrix.straight_a(n)
+
 
 @dataclass
 class ExchangeGraph:
@@ -57,14 +68,10 @@ class ExchangeGraph:
         return [m for key, m in self.nodes.items() if is_standard(key)]
 
 
-def build_exchange_graph(n: int, bound: int = 5) -> ExchangeGraph:
-    """Breadth-first closure of the framed straight-A_n state under mutation.
-
-    ``bound`` guards against accidentally huge runs; raise it consciously.
-    """
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the configured bound {bound}")
-    b0 = ExchangeMatrix.straight_a(n)
+def build_exchange_graph(n: int) -> ExchangeGraph:
+    """Breadth-first closure of the framed straight-A_n state under mutation,
+    for ``n <= MAX_N``."""
+    b0 = _straight_a(n)
     start = framed(b0)
     graph = ExchangeGraph(b0, start.c)
     graph.nodes[start.c] = start
@@ -120,16 +127,15 @@ def _green_vertices(state: ExtendedExchangeMatrix) -> list[int]:
             if vertex_color(state, k) is Color.GREEN]
 
 
-def enumerate_mgs(n: int, max_len: Optional[int] = None) -> list[MGSResult]:
-    """All maximal green sequences of straight A_n, lexicographic order.
+def enumerate_mgs(n: int) -> list[MGSResult]:
+    """All maximal green sequences of straight A_n, ``n <= MAX_N``, in
+    lexicographic order.
 
     A sequence is emitted when no green vertex remains.  Each result
     carries the word it spells and the permutation predicted by the
-    transposition product.  ``max_len`` abandons longer prefixes; finite
-    type never needs it.
+    transposition product.  No cap on the length is needed: every maximal
+    green sequence of A_n has length at most n(n+1)/2.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     out: list[MGSResult] = []
     seq: list[int] = []
 
@@ -141,14 +147,12 @@ def enumerate_mgs(n: int, max_len: Optional[int] = None) -> list[MGSResult]:
             sink.append(MGSResult(tuple(seq), PictureWord(ts.factors),
                                   ts.sigma))
             return
-        if max_len is not None and len(seq) >= max_len:
-            return
         for k in greens:
             seq.append(k)
             dfs(ts.step_vertex(k), sink)
             seq.pop()
 
-    dfs(TrackedState.from_state(framed(ExchangeMatrix.straight_a(n))), out)
+    dfs(TrackedState.from_state(framed(_straight_a(n))), out)
     return out
 
 
@@ -195,7 +199,8 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     out: list[LoopResult] = []
     seq: list[int] = []
 
-    def dfs(state: ExtendedExchangeMatrix):
+    # results passed in, not closed over, as in enumerate_mgs
+    def dfs(state: ExtendedExchangeMatrix, sink: list[LoopResult]):
         if len(seq) >= max_len:
             return
         for k in range(1, m.n + 1):
@@ -204,11 +209,11 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
             if frozenset(neighbor.c) == base_rows:
                 rho = find_row_permutation(m, neighbor)
                 if rho is not None:
-                    out.append(LoopResult(tuple(seq), rho))
-            dfs(neighbor)
+                    sink.append(LoopResult(tuple(seq), rho))
+            dfs(neighbor, sink)
             seq.pop()
 
-    dfs(m)
+    dfs(m, out)
     return out
 
 
@@ -227,12 +232,10 @@ def count_loops_by_replay(m: ExtendedExchangeMatrix, max_len: int = 10) -> int:
     return total
 
 
-def mgs_census(n: int, max_len: Optional[int] = None) -> dict:
+def mgs_census(n: int) -> dict:
     """Count, length histogram, permutation histogram and length range of
-    the maximal green sequences of straight A_n."""
-    if n > 5:
-        raise ValueError("census is desk-scale: need n <= 5")
-    results = enumerate_mgs(n, max_len)
+    the maximal green sequences of straight A_n, ``n <= MAX_N``."""
+    results = enumerate_mgs(n)
     lengths = Counter(len(r.sequence) for r in results)
     perms = Counter(r.permutation.cycle_string() for r in results)
     return {
@@ -240,8 +243,8 @@ def mgs_census(n: int, max_len: Optional[int] = None) -> dict:
         "count": len(results),
         "lengths": dict(sorted(lengths.items())),
         "permutations": dict(sorted(perms.items())),
-        "min_length": min(lengths) if results else None,
-        "max_length": max(lengths) if results else None,
+        "min_length": min(lengths),
+        "max_length": max(lengths),
     }
 
 

@@ -148,9 +148,12 @@ def test_export_dot(capsys):
 
 
 def test_export_dot_bound(capsys):
-    code, out, err = run(capsys, "export-dot", "--n", "6")
-    assert code == 2
-    assert "error:" in err
+    # one size bound for every exhaustive command
+    for command in ("export-dot", "verify", "census"):
+        code, out, err = run(capsys, command, "--n", "6")
+        assert code == 2
+        assert "MAX_N=5" in err
+        assert out == ""
 
 
 def test_check_standard_accepts(capsys):
@@ -182,7 +185,7 @@ def test_check_standard_bad_input(capsys):
 
 # parsed JSON that is not a list of integer rows: floats and booleans are
 # not truncated to integers, and non-list input does not crash
-MALFORMED_MATRICES = ["5", "[1, 2]", "[[1.5]]", "[[true]]", '[["1"]]']
+MALFORMED_MATRICES = ["5", "[1, 2]", "[[1.5]]", "[[true]]", '[["1"]]', "[]"]
 
 
 @pytest.mark.parametrize("text", MALFORMED_MATRICES)
@@ -194,7 +197,7 @@ def test_check_standard_rejects_malformed_matrix(capsys, text):
 
 
 @pytest.mark.parametrize("text", ["7", "[[0, 1.9], [-1.9, 0]]",
-                                  "[[0, true], [-1, 0]]", "[[0, 1], 5]"])
+                                  "[[0, true], [-1, 0]]", "[[0, 1], 5]", "[]"])
 def test_b0_file_rejects_malformed_matrix(tmp_path, capsys, text):
     b0 = tmp_path / "b0.json"
     b0.write_text(text)
@@ -216,9 +219,29 @@ def test_b0_file_mutate(tmp_path, capsys):
 def test_b0_file_rejected_by_verify(tmp_path, capsys):
     b0 = tmp_path / "b0.json"
     b0.write_text("[[0, 2], [-2, 0]]")
-    code, out, err = run(capsys, "verify", "--b0-file", str(b0))
-    assert code == 2
-    assert "straight A_n orientation" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--b0-file", str(b0)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --b0-file" in capsys.readouterr().err
+
+
+# each subcommand accepts only the flags it reads
+@pytest.mark.parametrize("argv", [
+    ["census", "--max-depth", "3"],
+    ["verify", "--seed", "1"],
+    ["verify", "--b0-file", "f"],
+    ["verify", "--format", "dot"],
+    ["census", "--format", "dot"],
+    ["export-dot", "--format", "json"],
+    ["export-dot", "--max-depth", "6"],
+    ["check-standard", "--n", "3", "[[1]]"],
+    ["mutate", "--sequence", "1", "--seed", "3"],
+], ids=" ".join)
+def test_flag_not_accepted_by_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_b0_file_missing(capsys):

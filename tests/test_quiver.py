@@ -217,6 +217,11 @@ def test_state_from_json_rejects_non_integer_entries(c):
         state_from_json(json.dumps(data))
 
 
+def test_state_from_json_rejects_empty_state():
+    with pytest.raises(ValueError):
+        state_from_json({"b": [], "c": []})
+
+
 def test_dot_output():
     dot = state_to_dot(framed(A2))
     assert dot.startswith("digraph quiver {")

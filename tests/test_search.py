@@ -59,25 +59,24 @@ def test_mgs_antichain_and_order():
                 assert a != b[:len(a)]
 
 
-def test_enumerate_mgs_frees_results_without_a_collection():
+@pytest.mark.parametrize("enumerate_", [
+    pytest.param(lambda: enumerate_mgs(3), id="mgs"),
+    pytest.param(lambda: enumerate_loops(framed(ExchangeMatrix.straight_a(3)),
+                                         4), id="loops"),
+])
+def test_enumeration_frees_results_without_a_collection(enumerate_):
     # results held by a reference cycle would outlive the caller's list
     # until the next cyclic collection
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        results = enumerate_mgs(3)
+        results = enumerate_()
         first = weakref.ref(results[0])
         del results
         assert first() is None
     finally:
         if was_enabled:
             gc.enable()
-
-
-def test_enumerate_mgs_max_len():
-    full = enumerate_mgs(3)
-    capped = enumerate_mgs(3, max_len=4)
-    assert capped == [r for r in full if len(r.sequence) <= 4]
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 9), (4, 98)])
@@ -102,7 +101,7 @@ def test_mgs_census():
     assert census3["lengths"] == {3: 1, 4: 4, 5: 2, 6: 2}
     assert census3["permutations"] == {
         "(12)": 2, "(123)": 2, "(13)": 2, "(23)": 2, "id": 1}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="MAX_N=5"):
         mgs_census(6)
 
 
@@ -129,10 +128,8 @@ def test_graph_node_counts(n, expected):
 
 
 def test_graph_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="MAX_N=5"):
         build_exchange_graph(6)
-    with pytest.raises(ValueError):
-        build_exchange_graph(2, bound=1)
 
 
 def test_graph_edges_are_involutive():
