@@ -16,9 +16,9 @@ from .picture import (PictureWord, Relation, RelationVerdict, SignedGenerator,
                       word_from_sequence)
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                      apply_sequence, coframed, find_row_permutation,
-                     format_state, framed, is_all_red, mutate, permute_rows,
-                     reconstructed_b, state_from_json, state_to_dot,
-                     state_to_json, vertex_color)
+                     format_state, framed, is_all_red, is_framed, mutate,
+                     permute_rows, reconstructed_b, state_from_json,
+                     state_to_dot, state_to_json, vertex_color)
 from .roots import (CMatrixReport, CMatrixViolation, Root, SignedRoot,
                     all_roots, euler_matrix, euler_pairing, ext, hom, in_wall,
                     is_subroot, root_to_vector, subroots, validate_c_matrix,
@@ -46,8 +46,8 @@ __all__ = [
     "euler_matrix", "euler_pairing", "ext", "factor_standard",
     "find_row_permutation", "format_state", "formula_permutation", "framed",
     "generator_from_json", "graph_to_dot", "hom", "in_wall", "is_all_red",
-    "is_loop", "is_reddening", "is_standard", "is_subroot", "mgs_census",
-    "mutate", "observed_reddening_permutation", "permute_rows",
+    "is_framed", "is_loop", "is_reddening", "is_standard", "is_subroot",
+    "mgs_census", "mutate", "observed_reddening_permutation", "permute_rows",
     "reconstructed_b", "relation_holds_on", "relations", "root_to_vector",
     "state_from_json", "state_to_dot", "state_to_json", "subroots",
     "transposition_of", "validate_c_matrix", "vector_to_signed_root",

@@ -41,7 +41,8 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
 def cmd_mutate(args: argparse.Namespace) -> int:
     straight = args.b0_file is None
     if straight:
-        start = framed(ExchangeMatrix.straight_a(args.n))
+        start = framed(ExchangeMatrix.straight_a(
+            2 if args.n is None else args.n))
     else:
         with open(args.b0_file) as fp:
             start = framed(ExchangeMatrix(matrix_from_json(json.load(fp))))
@@ -191,7 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_mutate = _command(sub, "mutate", cmd_mutate,
                         "apply a mutation sequence to the framed quiver and "
-                        "print the result", formats=["text", "json", "dot"])
+                        "print the result", formats=["text", "json", "dot"],
+                        sized=False)
+    source = p_mutate.add_mutually_exclusive_group()
+    # no argparse default: an explicit value equal to the default would not
+    # count as given, and "--n 2 --b0-file F" would pass the group
+    source.add_argument("--n", type=int,
+                        help="number of mutable vertices of straight A_n "
+                             "(default 2)")
+    source.add_argument("--b0-file",
+                        help="JSON file with an arbitrary skew-symmetric "
+                             "exchange matrix to use instead of straight "
+                             "A_n; word and sigma are then not tracked")
     walk = p_mutate.add_mutually_exclusive_group()
     walk.add_argument("--sequence", help='vertices to mutate, e.g. "2 1 2"')
     walk.add_argument("--seed", type=int,
@@ -199,10 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mutate.add_argument("--max-depth", type=int, default=8,
                           dest="max_depth",
                           help="length of the seeded walk (default 8)")
-    p_mutate.add_argument("--b0-file",
-                          help="JSON file with an arbitrary skew-symmetric "
-                               "exchange matrix to use instead of straight "
-                               "A_n; word and sigma are then not tracked")
     p_verify = _command(sub, "verify", cmd_verify,
                         "check the permutation formula on every maximal "
                         "green sequence (and loops with --max-depth)",
@@ -227,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "n", 1) < 1:
+        n = getattr(args, "n", None)
+        if n is not None and n < 1:
             raise ValueError("--n must be at least 1")
         max_depth = getattr(args, "max_depth", None)
         if max_depth is not None and max_depth < 0:

@@ -25,7 +25,7 @@ from .perm import Permutation
 from .picture import (PictureWord, SignedGenerator, allowed, step,
                       transposition_of)
 from .quiver import (ExchangeMatrix, ExtendedExchangeMatrix, apply_sequence,
-                     coframed, find_row_permutation, framed, is_all_red)
+                     coframed, find_row_permutation, is_all_red, is_framed)
 from .standard import factor_standard
 
 
@@ -86,7 +86,7 @@ def _coframe_permutation(m: ExtendedExchangeMatrix,
 
 def is_reddening(m: ExtendedExchangeMatrix, seq: Sequence[int]) -> bool:
     """Whether ``seq`` turns every vertex red.  Requires a framed start."""
-    if m != framed(ExchangeMatrix(m.b)):
+    if not is_framed(m):
         raise ValueError("reddening sequences are defined from a framed state")
     return is_all_red(apply_sequence(m, seq))
 
@@ -101,7 +101,7 @@ def is_loop(m: ExtendedExchangeMatrix,
 def observed_reddening_permutation(m: ExtendedExchangeMatrix,
                                    seq: Sequence[int]) -> Permutation:
     """The row permutation carrying the coframe to the all-red endpoint."""
-    if m != framed(ExchangeMatrix(m.b)):
+    if not is_framed(m):
         raise ValueError("reddening sequences are defined from a framed state")
     end = apply_sequence(m, seq)
     if not is_all_red(end):
@@ -156,7 +156,7 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     predicted = formula_permutation(word, start.sigma)
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
-    if m == framed(ExchangeMatrix(m.b)) and is_all_red(end.state):
+    if is_framed(m) and is_all_red(end.state):
         observed = _coframe_permutation(m, end.state)
     else:
         observed = find_row_permutation(m, end.state)

@@ -38,7 +38,7 @@ class Permutation:
             raise ValueError(f"transposition ({a} {b}) out of range for n={n}")
         images = list(range(1, n + 1))
         images[a - 1], images[b - 1] = b, a
-        return cls(tuple(images))
+        return _trusted(tuple(images))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
@@ -58,13 +58,14 @@ class Permutation:
         images = [0] * self.n
         for x, y in enumerate(self.images, start=1):
             images[y - 1] = x
-        return Permutation(tuple(images))
+        return _trusted(tuple(images))
 
     def __mul__(self, other: Permutation) -> Permutation:
         """Function composition: apply ``other`` first, then ``self``."""
-        if self.n != other.n:
+        mine = self.images
+        if len(mine) != len(other.images):
             raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self(other(x)) for x in range(1, self.n + 1)))
+        return _trusted(tuple([mine[y - 1] for y in other.images]))
 
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images, start=1))
@@ -106,3 +107,11 @@ class Permutation:
 
     def __str__(self) -> str:
         return self.cycle_string()
+
+
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A ``Permutation`` built without validation, for images that are a
+    permutation by construction."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p

@@ -93,11 +93,27 @@ class Color(Enum):
     RED = "red"
 
 
+def _trusted_state(b: IntMatrix, c: IntMatrix) -> ExtendedExchangeMatrix:
+    """An ``ExtendedExchangeMatrix`` built without ``__post_init__``, for
+    results that are valid by construction."""
+    m = object.__new__(ExtendedExchangeMatrix)
+    object.__setattr__(m, "b", b)
+    object.__setattr__(m, "c", c)
+    return m
+
+
+def _identity(n: int) -> IntMatrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def framed(b0: ExchangeMatrix) -> ExtendedExchangeMatrix:
     """[B0 | I]: one frozen vertex i' with an arrow i -> i' per vertex."""
-    n = b0.n
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return ExtendedExchangeMatrix(b0.b, ident)
+    return ExtendedExchangeMatrix(b0.b, _identity(b0.n))
+
+
+def is_framed(m: ExtendedExchangeMatrix) -> bool:
+    """Whether ``m`` is [B | I], the framing of its own b-part."""
+    return m.c == _identity(m.n)
 
 
 def coframed(b0: ExchangeMatrix) -> ExtendedExchangeMatrix:
@@ -115,6 +131,11 @@ def mutate(m: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
     ``sgn(b[i][k]) * max(b[i][k] * row_k[j], 0)``, with the column ``j``
     running over all 2n columns.  An involution: mutating twice at the same
     vertex restores the state.
+
+    Mutation preserves skew-symmetry and shape, so the result is not
+    re-validated; only a c-row that changes is checked, because it can
+    become zero on a state not reachable from a framed quiver, which
+    raises ``ValueError``.
     """
     n = m.n
     if not 1 <= k <= n:
@@ -124,25 +145,27 @@ def mutate(m: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
     ck = m.c[k0]
     new_b = []
     new_c = []
-    for i in range(n):
+    for i, (row_b, row_c) in enumerate(zip(m.b, m.c)):
         if i == k0:
-            new_b.append(tuple(-x for x in m.b[i]))
-            new_c.append(tuple(-x for x in m.c[i]))
+            new_b.append(tuple([-x for x in row_b]))
+            new_c.append(tuple([-x for x in row_c]))
             continue
-        bik = m.b[i][k0]
+        bik = row_b[k0]
         if bik == 0:
-            row_b = list(m.b[i])
-            row_b[k0] = -row_b[k0]
-            new_b.append(tuple(row_b))
-            new_c.append(m.c[i])
+            new_b.append(row_b)
+            new_c.append(row_c)
             continue
-        s = 1 if bik > 0 else -1
-        new_b.append(tuple(
-            -x if j == k0 else x + s * max(bik * bk[j], 0)
-            for j, x in enumerate(m.b[i])))
-        new_c.append(tuple(
-            x + s * max(bik * ck[j], 0) for j, x in enumerate(m.c[i])))
-    return ExtendedExchangeMatrix(tuple(new_b), tuple(new_c))
+        # sgn(bik) * max(bik * y, 0) is |bik| * y where bik * y > 0, else 0
+        a = abs(bik)
+        row_b = [x + a * y if bik * y > 0 else x for x, y in zip(row_b, bk)]
+        row_b[k0] = -bik
+        new_b.append(tuple(row_b))
+        row_c = tuple([x + a * y if bik * y > 0 else x
+                       for x, y in zip(row_c, ck)])
+        if not any(row_c):
+            raise ValueError("every c-vector must be nonzero")
+        new_c.append(row_c)
+    return _trusted_state(tuple(new_b), tuple(new_c))
 
 
 def apply_sequence(m: ExtendedExchangeMatrix,
@@ -174,16 +197,14 @@ def is_all_red(m: ExtendedExchangeMatrix) -> bool:
 def permute_rows(m: ExtendedExchangeMatrix,
                  rho: Permutation) -> ExtendedExchangeMatrix:
     """Relabel mutable vertices by ``rho``: rows and columns of the b-part
-    and rows of the c-part move; c-columns (frozen vertices) stay put."""
-    n = m.n
-    if rho.n != n:
+    and rows of the c-part move; c-columns (frozen vertices) stay put.
+    Relabeling preserves validity, so the result is not re-validated."""
+    if rho.n != m.n:
         raise ValueError("permutation size does not match state size")
-    new_b = [[0] * n for _ in range(n)]
-    for r in range(n):
-        for s in range(n):
-            new_b[rho(r + 1) - 1][rho(s + 1) - 1] = m.b[r][s]
-    new_c = rho.apply_to_rows(m.c)
-    return ExtendedExchangeMatrix(_as_matrix(new_b), new_c)
+    # row and column r of the result come from row and column rho^-1(r)
+    src = [r - 1 for r in rho.inverse().images]
+    return _trusted_state(tuple(tuple([m.b[r][s] for s in src]) for r in src),
+                          tuple([m.c[r] for r in src]))
 
 
 def find_row_permutation(m1: ExtendedExchangeMatrix,
@@ -205,8 +226,8 @@ def find_row_permutation(m1: ExtendedExchangeMatrix,
         if target is None:
             return None
         images.append(target)
-    if sorted(images) != list(range(1, n + 1)):
-        return None
+    # distinct rows of m1 land on distinct positions, so images is a
+    # permutation; the constructor still checks it
     rho = Permutation(tuple(images))
     if permute_rows(m1, rho) != m2:
         return None

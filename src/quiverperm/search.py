@@ -194,26 +194,37 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     row permutation, with that permutation.  Includes the trivial loops
     (k, k).  Depth-first over the full prefix tree, so lexicographic with
     prefixes first.
+
+    Each expanded state's successors ``(k, neighbor, rho or None)`` are
+    memoized for the call, so mutation and the loop test run once per
+    distinct state within ``max_len - 1`` steps of ``m``, not once per
+    prefix.
     """
     base_rows = frozenset(m.c)
     out: list[LoopResult] = []
     seq: list[int] = []
 
-    # results passed in, not closed over, as in enumerate_mgs
-    def dfs(state: ExtendedExchangeMatrix, sink: list[LoopResult]):
+    # the memo and the results are passed in, not closed over, as in
+    # enumerate_mgs: the recursive closure is a reference cycle
+    def dfs(state: ExtendedExchangeMatrix, memo: dict, sink: list[LoopResult]):
         if len(seq) >= max_len:
             return
-        for k in range(1, m.n + 1):
-            neighbor = mutate(state, k)
+        succ = memo.get(state)
+        if succ is None:
+            succ = memo[state] = []
+            for k in range(1, m.n + 1):
+                neighbor = mutate(state, k)
+                rho = (find_row_permutation(m, neighbor)
+                       if frozenset(neighbor.c) == base_rows else None)
+                succ.append((k, neighbor, rho))
+        for k, neighbor, rho in succ:
             seq.append(k)
-            if frozenset(neighbor.c) == base_rows:
-                rho = find_row_permutation(m, neighbor)
-                if rho is not None:
-                    sink.append(LoopResult(tuple(seq), rho))
-            dfs(neighbor, sink)
+            if rho is not None:
+                sink.append(LoopResult(tuple(seq), rho))
+            dfs(neighbor, memo, sink)
             seq.pop()
 
-    dfs(m, out)
+    dfs(m, {}, out)
     return out
 
 

@@ -236,6 +236,8 @@ def test_b0_file_rejected_by_verify(tmp_path, capsys):
     ["export-dot", "--max-depth", "6"],
     ["check-standard", "--n", "3", "[[1]]"],
     ["mutate", "--sequence", "1", "--seed", "3"],
+    ["mutate", "--n", "4", "--b0-file", "f"],
+    ["mutate", "--n", "2", "--b0-file", "f"],
 ], ids=" ".join)
 def test_flag_not_accepted_by_subcommand(capsys, argv):
     with pytest.raises(SystemExit) as exc:

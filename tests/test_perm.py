@@ -103,6 +103,15 @@ def test_cycles_round_trip(p):
     assert Permutation.from_cycles(5, p.cycles()) == p
 
 
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    perms(n), perms(n), st.integers(1, n), st.integers(1, n))))
+def test_unvalidated_results_pass_validation(args):
+    # composition, inverse and transposition skip the constructor's check
+    p, q, a, b = args
+    for r in (p * q, p.inverse(), Permutation.transposition(p.n, a, b)):
+        assert Permutation(r.images) == r
+
+
 def test_mul_size_mismatch():
     with pytest.raises(ValueError):
         Permutation.identity(2) * Permutation.identity(3)

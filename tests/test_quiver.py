@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         Permutation, apply_sequence, coframed,
                         find_row_permutation, format_state, framed,
-                        is_all_red, mutate, permute_rows, reconstructed_b,
+                        is_all_red, is_framed, mutate, permute_rows,
+                        reconstructed_b,
                         state_from_json, state_to_dot, state_to_json,
                         vertex_color)
 
@@ -126,6 +127,52 @@ def test_vertex_color_rejects_mixed_signs():
     bad = ExtendedExchangeMatrix(zero2, ((1, -1), (0, 1)))
     with pytest.raises(ValueError):
         vertex_color(bad, 1)
+
+
+@st.composite
+def skew_symmetric(draw):
+    """A random skew-symmetric exchange matrix, n <= 5, entries in -3..3."""
+    n = draw(st.integers(1, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-3, 3))
+            rows[j][i] = -rows[i][j]
+    return ExchangeMatrix(tuple(map(tuple, rows)))
+
+
+@given(st.one_of(st.integers(1, 5).map(ExchangeMatrix.straight_a),
+                 skew_symmetric()), st.data())
+def test_unvalidated_results_pass_validation(b0, data):
+    # mutate and permute_rows skip the constructor's check; every state they
+    # return along a random walk must still pass it
+    n = b0.n
+    m = framed(b0)
+    for k in data.draw(st.lists(st.integers(1, n), max_size=12)):
+        m = mutate(m, k)
+        assert ExtendedExchangeMatrix(m.b, m.c) == m
+        rho = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+        relabeled = permute_rows(m, rho)
+        assert ExtendedExchangeMatrix(relabeled.b, relabeled.c) == relabeled
+
+
+def test_mutate_rejects_a_zero_c_vector():
+    # valid, but not reachable from a framed quiver: mutating at 2 adds
+    # c-row 2 to c-row 1 and cancels it
+    m = ExtendedExchangeMatrix(((0, 1), (-1, 0)), ((-1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="every c-vector must be nonzero"):
+        mutate(m, 2)
+
+
+def test_is_framed():
+    for b0 in (A1, A2, A3, ExchangeMatrix(((0, 2), (-2, 0)))):
+        assert is_framed(framed(b0))
+        assert not is_framed(coframed(b0))
+    swap = Permutation.transposition(2, 1, 2)
+    assert not is_framed(permute_rows(framed(A2), swap))
+    # the b-part always matches, so comparing c with I is the whole test
+    for m in reachable(3, 4):
+        assert is_framed(m) == (m == framed(ExchangeMatrix(m.b)))
 
 
 def test_is_all_red():

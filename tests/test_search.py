@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import weakref
+from itertools import product
 
 import pytest
 
@@ -9,9 +10,10 @@ from quiverperm import (ExchangeMatrix, Permutation, PictureWord, Root,
                         SignedGenerator, apply_sequence, build_exchange_graph,
                         count_loops_by_replay, count_mgs,
                         count_reachable_states, enumerate_loops,
-                        enumerate_mgs, framed, graph_to_dot, is_all_red,
-                        is_standard, mgs_census, mutate, reconstructed_b,
-                        write_loops_jsonl, write_mgs_jsonl)
+                        enumerate_mgs, find_row_permutation, framed,
+                        graph_to_dot, is_all_red, is_standard, mgs_census,
+                        mutate, reconstructed_b, write_loops_jsonl,
+                        write_mgs_jsonl)
 
 A2 = ExchangeMatrix.straight_a(2)
 
@@ -66,14 +68,17 @@ def test_mgs_antichain_and_order():
 ])
 def test_enumeration_frees_results_without_a_collection(enumerate_):
     # results held by a reference cycle would outlive the caller's list
-    # until the next cyclic collection
+    # until the next cyclic collection; so would a loop permutation held
+    # by the successor memo of enumerate_loops
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         results = enumerate_()
         first = weakref.ref(results[0])
+        permutation = weakref.ref(results[0].permutation)
         del results
         assert first() is None
+        assert permutation() is None
     finally:
         if was_enabled:
             gc.enable()
@@ -190,6 +195,26 @@ def test_loops_replay_from_other_basepoints():
         assert apply_sequence(m, r.sequence).c \
             == r.permutation.apply_to_rows(m.c)
     assert (1, 1) in [r.sequence for r in results]
+
+
+@pytest.mark.parametrize("m", [
+    pytest.param(framed(ExchangeMatrix(((0, 2, 0), (-2, 0, 1), (0, -1, 0)))),
+                 id="double-arrow"),
+    pytest.param(mutate(framed(ExchangeMatrix.straight_a(3)), 2),
+                 id="A3-not-framed"),
+])
+def test_enumerate_loops_matches_flat_replay(m):
+    # the memoized search against every sequence replayed from scratch,
+    # off type A and away from the framed state
+    reference = []
+    for length in range(1, 7):
+        for seq in product(range(1, m.n + 1), repeat=length):
+            rho = find_row_permutation(m, apply_sequence(m, seq))
+            if rho is not None:
+                reference.append((seq, rho))
+    got = [(r.sequence, r.permutation) for r in enumerate_loops(m, 6)]
+    assert got == sorted(reference)
+    assert len(got) == count_loops_by_replay(m, 6)
 
 
 @pytest.mark.parametrize("n,depth", [(2, 6), (3, 4)])
