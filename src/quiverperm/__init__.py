@@ -12,8 +12,7 @@ from .formula import (FormulaReport, TrackedState, Verdict, formula_permutation,
 from .perm import Permutation
 from .picture import (PictureWord, Relation, RelationVerdict, SignedGenerator,
                       act, act_word, all_pairs, allowed, coxeter,
-                      generator_from_json, relation_holds_on, relations,
-                      word_from_sequence)
+                      relation_holds_on, relations, word_from_sequence)
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                      apply_sequence, coframed, find_row_permutation,
                      format_state, framed, is_all_red, is_framed, mutate,
@@ -26,8 +25,7 @@ from .roots import (CMatrixReport, CMatrixViolation, Root, SignedRoot,
 from .search import (ExchangeGraph, LoopResult, MGSResult,
                      build_exchange_graph, count_loops_by_replay, count_mgs,
                      count_reachable_states, enumerate_loops, enumerate_mgs,
-                     graph_to_dot, mgs_census, write_loops_jsonl,
-                     write_mgs_jsonl)
+                     graph_to_dot, mgs_census, write_mgs_jsonl)
 from .standard import (StandardFactorization, canonical_row,
                        check_preservation, factor_standard, is_standard)
 
@@ -45,8 +43,8 @@ __all__ = [
     "count_reachable_states", "coxeter", "enumerate_loops", "enumerate_mgs",
     "euler_matrix", "euler_pairing", "ext", "factor_standard",
     "find_row_permutation", "format_state", "formula_permutation", "framed",
-    "generator_from_json", "graph_to_dot", "hom", "in_wall", "is_all_red",
-    "is_framed", "is_loop", "is_reddening", "is_standard", "is_subroot",
+    "graph_to_dot", "hom", "in_wall", "is_all_red", "is_framed", "is_loop",
+    "is_reddening", "is_standard", "is_subroot",
     "mgs_census", "mutate", "observed_reddening_permutation", "permute_rows",
     "reconstructed_b", "relation_holds_on", "relations", "root_to_vector",
     "state_from_json", "state_to_dot", "state_to_json", "subroots",

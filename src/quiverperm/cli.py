@@ -50,7 +50,8 @@ def cmd_mutate(args: argparse.Namespace) -> int:
         sequence = _parse_sequence(args.sequence)
     elif args.seed is not None:
         rng = random.Random(args.seed)
-        sequence = tuple(rng.randint(1, start.n) for _ in range(args.max_depth))
+        depth = 8 if args.max_depth is None else args.max_depth
+        sequence = tuple(rng.randint(1, start.n) for _ in range(depth))
     else:
         sequence = ()
     if straight:
@@ -208,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--sequence", help='vertices to mutate, e.g. "2 1 2"')
     walk.add_argument("--seed", type=int,
                       help="mutate along a random walk drawn from this seed")
-    p_mutate.add_argument("--max-depth", type=int, default=8,
-                          dest="max_depth",
-                          help="length of the seeded walk (default 8)")
+    p_mutate.add_argument("--max-depth", type=int, dest="max_depth",
+                          help="length of the seeded walk (default 8; "
+                               "needs --seed)")
     p_verify = _command(sub, "verify", cmd_verify,
                         "check the permutation formula on every maximal "
                         "green sequence (and loops with --max-depth)",
@@ -239,6 +240,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if n is not None and n < 1:
             raise ValueError("--n must be at least 1")
         max_depth = getattr(args, "max_depth", None)
+        # before the sign check: without --seed, mutate never reads the value
+        if args.command == "mutate" and max_depth is not None \
+                and args.seed is None:
+            raise ValueError("--max-depth needs --seed")
         if max_depth is not None and max_depth < 0:
             raise ValueError("--max-depth must be nonnegative")
         return args.run(args)

@@ -7,12 +7,16 @@ relabeling of mutable vertices is
 
     sigma o t_1 o t_2 o ... o t_N o sigma^{-1}
 
-``verify`` walks each sequence once, with a ``TrackedState``, and compares
-that prediction against an independent observation: the row permutation
-relating the endpoint to the coframe (reddening sequences) or to the start
-(loop sequences).  The observation is read off the endpoint alone, never
-from the tracked sigma.  Arbitrary sequences carry a predicted value but
-nothing to compare it with.
+A ``TrackedState`` follows sigma step by step, sigma <- sigma o (i+1 j),
+because each such step keeps the c-matrix standard; after a sequence it
+holds sigma o t_1 o ... o t_N.  ``verify`` walks each sequence once and
+takes its prediction from that walk; ``formula_permutation`` is the closed
+form above, the reference the tracked prediction is tested against.  The
+prediction is compared with an independent observation: the row
+permutation relating the endpoint to the coframe (reddening sequences) or
+to the start (loop sequences).  The observation is read off the endpoint
+alone, never from the tracked sigma.  Arbitrary sequences carry a
+predicted value but nothing to compare it with.
 """
 
 from __future__ import annotations
@@ -139,13 +143,14 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     """Predict the permutation of one sequence and compare where possible.
 
     The sequence is walked once, by ``TrackedState.run``; the prediction is
-    the formula on the word that walk spells.  The observation is
-    independent of the prediction: it is read off the endpoint alone, never
-    from the tracked sigma.  For a reddening sequence it is the row
-    permutation from the coframe to the endpoint, for a loop the row
-    permutation from the start.  A sequence that is neither has nothing to
-    compare against and reports NotApplicable.  Raises ``ValueError`` when
-    the starting c-matrix does not factor.
+    the tracked sigma at the end times the inverse of the one at the start,
+    which is ``formula_permutation`` of the word the walk spells.  The
+    observation is independent of the prediction: it is read off the
+    endpoint alone, never from the tracked sigma.  For a reddening sequence
+    it is the row permutation from the coframe to the endpoint, for a loop
+    the row permutation from the start.  A sequence that is neither has
+    nothing to compare against and reports NotApplicable.  Raises
+    ``ValueError`` when the starting c-matrix does not factor.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
@@ -153,7 +158,7 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     start = TrackedState.from_state(m)
     end = start.run(seq)
     word = PictureWord(end.factors)
-    predicted = formula_permutation(word, start.sigma)
+    predicted = end.sigma * start.sigma.inverse()
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
     if is_framed(m) and is_all_red(end.state):

@@ -42,11 +42,6 @@ class SignedGenerator:
                 "delta": "+" if self.delta > 0 else "-"}
 
 
-def generator_from_json(data: dict) -> SignedGenerator:
-    return SignedGenerator(Root(data["i"], data["j"]),
-                           1 if data["delta"] == "+" else -1)
-
-
 @dataclass(frozen=True)
 class PictureWord:
     """Factors in application order: ``factors[0]`` acts first."""

@@ -273,10 +273,10 @@ def state_from_json(data: dict | str) -> ExtendedExchangeMatrix:
     return m
 
 
-def state_to_dot(m: ExtendedExchangeMatrix, name: str = "quiver") -> str:
+def state_to_dot(m: ExtendedExchangeMatrix) -> str:
     """DOT rendering of the ice quiver: mutable vertices "1".."n", frozen
     "1'".."n'", one edge per unit of each entry, direction by sign."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph quiver {"]
     for k in range(1, m.n + 1):
         try:
             fill = vertex_color(m, k).value

@@ -17,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import IO, Optional
+from typing import IO
 
 from .formula import TrackedState
 from .perm import Permutation
@@ -49,20 +49,12 @@ class ExchangeGraph:
     """
 
     b0: ExchangeMatrix
-    root: IntMatrix
     nodes: dict[IntMatrix, ExtendedExchangeMatrix] = field(default_factory=dict)
     edges: dict[IntMatrix, tuple[IntMatrix, ...]] = field(default_factory=dict)
 
     @property
-    def n(self) -> int:
-        return self.b0.n
-
-    @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def state(self, key: IntMatrix) -> ExtendedExchangeMatrix:
-        return self.nodes[key]
 
     def standard_nodes(self) -> list[ExtendedExchangeMatrix]:
         return [m for key, m in self.nodes.items() if is_standard(key)]
@@ -73,7 +65,7 @@ def build_exchange_graph(n: int) -> ExchangeGraph:
     for ``n <= MAX_N``."""
     b0 = _straight_a(n)
     start = framed(b0)
-    graph = ExchangeGraph(b0, start.c)
+    graph = ExchangeGraph(b0)
     graph.nodes[start.c] = start
     queue = [start]
     while queue:
@@ -156,7 +148,7 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
     return out
 
 
-def count_mgs(n: int, max_len: Optional[int] = None) -> int:
+def count_mgs(n: int) -> int:
     """Breadth-first count of maximal green sequences.
 
     Walks level by level carrying path multiplicities per state, so no
@@ -165,10 +157,7 @@ def count_mgs(n: int, max_len: Optional[int] = None) -> int:
     start = framed(ExchangeMatrix.straight_a(n))
     level: Counter = Counter({start: 1})
     total = 0
-    depth = 0
     while level:
-        if max_len is not None and depth > max_len:
-            raise RuntimeError(f"green sequences exceed max_len={max_len}")
         nxt: Counter = Counter()
         for state, mult in level.items():
             greens = _green_vertices(state)
@@ -178,7 +167,6 @@ def count_mgs(n: int, max_len: Optional[int] = None) -> int:
             for k in greens:
                 nxt[mutate(state, k)] += mult
         level = nxt
-        depth += 1
     return total
 
 
@@ -189,7 +177,7 @@ class LoopResult:
 
 
 def enumerate_loops(m: ExtendedExchangeMatrix,
-                    max_len: int = 10) -> list[LoopResult]:
+                    max_len: int) -> list[LoopResult]:
     """Every sequence of length <= max_len that returns to ``m`` up to a
     row permutation, with that permutation.  Includes the trivial loops
     (k, k).  Depth-first over the full prefix tree, so lexicographic with
@@ -228,7 +216,7 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     return out
 
 
-def count_loops_by_replay(m: ExtendedExchangeMatrix, max_len: int = 10) -> int:
+def count_loops_by_replay(m: ExtendedExchangeMatrix, max_len: int) -> int:
     """Flat recount of loops: replay every sequence from scratch.  Shares
     no traversal state with enumerate_loops."""
     total = 0
@@ -270,15 +258,6 @@ def write_mgs_jsonl(results: list[MGSResult], fp: IO[str]) -> None:
         }) + "\n")
 
 
-def write_loops_jsonl(results: list[LoopResult], fp: IO[str]) -> None:
-    for r in results:
-        fp.write(json.dumps({
-            "vertices": list(r.sequence),
-            "permutation": r.permutation.cycle_string(),
-            "length": len(r.sequence),
-        }) + "\n")
-
-
 def graph_to_dot(graph: ExchangeGraph) -> str:
     """DOT rendering of the exchange graph, nodes labeled by c-matrices."""
     ids = {key: f"s{idx}" for idx, key in enumerate(graph.nodes)}
@@ -289,7 +268,7 @@ def graph_to_dot(graph: ExchangeGraph) -> str:
     for key, neighbors in graph.edges.items():
         for k, other in enumerate(neighbors, start=1):
             # mutation is involutive, so each edge shows up from both ends;
-            # keep the copy from the smaller node id
+            # keep the copy whose id string sorts first ("s10" < "s9")
             if ids[key] < ids[other]:
                 lines.append(f'  {ids[key]} -- {ids[other]} [label="{k}"];')
     lines.append("}")

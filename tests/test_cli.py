@@ -74,6 +74,34 @@ def test_mutate_seeded_walk_is_deterministic(capsys):
     assert out_a != out_c
 
 
+def test_mutate_seeded_walk_defaults_to_eight_steps(capsys):
+    code, out, _ = run(capsys, "mutate", "--n", "3", "--seed", "7")
+    assert code == 0
+    assert len(out.splitlines()[0].split()) == 9  # "sequence:" + 8 vertices
+    assert run(capsys, "mutate", "--n", "3", "--seed", "7",
+               "--max-depth", "8")[1] == out
+
+
+# --max-depth is the length of the seeded walk; nothing else reads it
+@pytest.mark.parametrize("argv", [
+    ["--sequence", "1 2", "--max-depth", "3"],
+    ["--sequence", "1 2", "--max-depth", "-1"],
+    ["--max-depth", "3"],
+], ids=" ".join)
+def test_mutate_max_depth_needs_seed(capsys, argv):
+    code, out, err = run(capsys, "mutate", "--n", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: --max-depth needs --seed" in err
+
+
+def test_mutate_seeded_walk_rejects_negative_depth(capsys):
+    code, out, err = run(capsys, "mutate", "--n", "2", "--seed", "1",
+                         "--max-depth", "-1")
+    assert code == 2
+    assert "error: --max-depth must be nonnegative" in err
+
+
 def test_verify_passes(capsys):
     code, out, err = run(capsys, "verify", "--n", "2")
     assert code == 0

@@ -177,6 +177,21 @@ def test_verify_one_walk_matches_standalone_pieces():
                 state, loop.sequence, is_loop(state, loop.sequence))
 
 
+@given(st.integers(1, 5), st.data())
+def test_verify_prediction_equals_closed_form(n, data):
+    # the prediction verify reads off its walk equals the closed form on the
+    # word, from any reachable start and for any sequence, whatever the verdict
+    vertices = st.lists(st.integers(1, n), max_size=12)
+    m = apply_sequence(framed(ExchangeMatrix.straight_a(n)),
+                       data.draw(vertices))
+    seq = data.draw(vertices)
+    report = verify(m, seq)
+    word = word_from_sequence(m, seq)
+    assert report.word == word
+    assert report.formula_perm == formula_permutation(
+        word, factor_standard(m.c).rho)
+
+
 def test_verify_loop_from_unframed_start():
     m = mutate(framed(A2), 1)
     report = verify(m, (1, 1))

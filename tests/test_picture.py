@@ -5,9 +5,9 @@ import pytest
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
                         PictureWord, Relation, RelationVerdict, Root,
                         SignedGenerator, act, act_word, all_pairs, allowed,
-                        apply_sequence, coframed, coxeter, framed,
-                        generator_from_json, mutate, permute_rows,
-                        relation_holds_on, relations, word_from_sequence)
+                        apply_sequence, coframed, coxeter, framed, mutate,
+                        permute_rows, relation_holds_on, relations,
+                        word_from_sequence)
 
 A2 = ExchangeMatrix.straight_a(2)
 A3 = ExchangeMatrix.straight_a(3)
@@ -36,10 +36,9 @@ def test_generator_str():
 
 
 def test_generator_json_round_trip():
-    for g in (X02, SignedGenerator(Root(1, 3), -1)):
-        data = g.to_json()
-        assert generator_from_json(data) == g
     assert X02.to_json() == {"i": 0, "j": 2, "delta": "+"}
+    assert SignedGenerator(Root(1, 3), -1).to_json() \
+        == {"i": 1, "j": 3, "delta": "-"}
 
 
 def test_word_display_reads_right_to_left():
