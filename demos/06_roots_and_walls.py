@@ -21,8 +21,7 @@ for r in roots:
 print()
 
 print("hom / ext tables (row acts on column):")
-for name, fn in (("hom", lambda a, b: hom(a, b)),
-                 ("ext", lambda a, b: ext(a, b, n))):
+for name, fn in (("hom", hom), ("ext", ext)):
     print(f"  {name}:")
     for a in roots:
         row = " ".join(str(fn(a, b)) for b in roots)
@@ -33,7 +32,7 @@ print("Euler matrix and the pairing it induces:")
 print(" ", euler_matrix(n))
 for a, b in [(Root(0, 2), Root(1, 2)), (Root(0, 1), Root(1, 2))]:
     val = euler_pairing(root_to_vector(a, n), root_to_vector(b, n))
-    print(f"  <{a}, {b}> = {val} = hom {hom(a, b)} - ext {ext(a, b, n)}")
+    print(f"  <{a}, {b}> = {val} = hom {hom(a, b)} - ext {ext(a, b)}")
 print()
 
 print("submodules of an interval are its suffixes:")

@@ -26,8 +26,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .perm import Permutation
-from .picture import (PictureWord, SignedGenerator, allowed, step,
-                      transposition_of)
+from .picture import PictureWord, SignedGenerator, step, transposition_of
 from .quiver import (ExchangeMatrix, ExtendedExchangeMatrix, apply_sequence,
                      coframed, find_row_permutation, is_all_red, is_framed)
 from .standard import factor_standard
@@ -59,12 +58,6 @@ class TrackedState:
         if fact is None:
             raise ValueError("c-matrix does not factor through a standard matrix")
         return cls(m, fact.rho)
-
-    def step(self, g: SignedGenerator) -> "TrackedState":
-        k = allowed(self.state, g)
-        if k is None:
-            raise ValueError(f"{g} is not allowed on this state")
-        return self.step_vertex(k)
 
     def step_vertex(self, k: int) -> "TrackedState":
         g, nxt = step(self.state, k)

@@ -72,11 +72,12 @@ class Permutation:
 
     def apply_to_rows(self, rows: Sequence) -> tuple:
         """Send row ``r`` of ``rows`` to position ``self(r)`` (1-based)."""
-        if len(rows) != self.n:
+        images = self.images
+        if len(rows) != len(images):
             raise ValueError("row count does not match permutation size")
-        out = [None] * self.n
-        for r, row in enumerate(rows, start=1):
-            out[self(r) - 1] = row
+        out = [None] * len(images)
+        for row, target in zip(rows, images):
+            out[target - 1] = row
         return tuple(out)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:

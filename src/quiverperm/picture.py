@@ -14,13 +14,14 @@ checks therefore compare states up to a row permutation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from .perm import Permutation
 from .quiver import ExtendedExchangeMatrix, find_row_permutation, mutate
-from .roots import Root, root_to_vector, vector_to_signed_root
+from .roots import Root, all_roots, root_to_vector, vector_to_signed_root
 
 
 @dataclass(frozen=True)
@@ -151,15 +152,15 @@ def relations(n: int) -> list[Relation]:
     x_jk x_ij = x_ij x_ik x_jk for 0 <= i < j < k <= n.
     """
     out = []
-    pairs = [(a, b) for a in all_pairs(n) for b in all_pairs(n) if a < b]
-    for (i, j), (k, l) in pairs:
+    for a, b in itertools.combinations(all_roots(n), 2):
+        i, j, k, l = a.i, a.j, b.i, b.j
         if len({i, j, k, l}) != 4:
             continue
         disjoint = j < k or l < i
         nested = (i < k and l < j) or (k < i and j < l)
         if disjoint or nested:
-            gen_a = SignedGenerator(Root(i, j))
-            gen_b = SignedGenerator(Root(k, l))
+            gen_a = SignedGenerator(a)
+            gen_b = SignedGenerator(b)
             out.append(Relation(PictureWord((gen_b, gen_a)),
                                 PictureWord((gen_a, gen_b)),
                                 "commutation"))
@@ -173,10 +174,6 @@ def relations(n: int) -> list[Relation]:
                                     PictureWord((x_jk, x_ik, x_ij)),
                                     "hexagon"))
     return out
-
-
-def all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
 
 
 def relation_holds_on(m: ExtendedExchangeMatrix,

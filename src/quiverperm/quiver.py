@@ -9,7 +9,6 @@ vertices are carried implicitly as the columns of the c-matrix: entry
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -199,12 +198,8 @@ def permute_rows(m: ExtendedExchangeMatrix,
     """Relabel mutable vertices by ``rho``: rows and columns of the b-part
     and rows of the c-part move; c-columns (frozen vertices) stay put.
     Relabeling preserves validity, so the result is not re-validated."""
-    if rho.n != m.n:
-        raise ValueError("permutation size does not match state size")
-    # row and column r of the result come from row and column rho^-1(r)
-    src = [r - 1 for r in rho.inverse().images]
-    return _trusted_state(tuple(tuple([m.b[r][s] for s in src]) for r in src),
-                          tuple([m.c[r] for r in src]))
+    b = tuple([rho.apply_to_rows(row) for row in rho.apply_to_rows(m.b)])
+    return _trusted_state(b, rho.apply_to_rows(m.c))
 
 
 def find_row_permutation(m1: ExtendedExchangeMatrix,
@@ -261,16 +256,6 @@ def matrix_from_json(rows) -> IntMatrix:
             for row in rows):
         raise ValueError("matrix must be a nonempty list of rows of integers")
     return _as_matrix(rows)
-
-
-def state_from_json(data: dict | str) -> ExtendedExchangeMatrix:
-    if isinstance(data, str):
-        data = json.loads(data)
-    m = ExtendedExchangeMatrix(matrix_from_json(data["b"]),
-                               matrix_from_json(data["c"]))
-    if m.n != data.get("n", m.n):
-        raise ValueError("declared size does not match matrix size")
-    return m
 
 
 def state_to_dot(m: ExtendedExchangeMatrix) -> str:

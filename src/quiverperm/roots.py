@@ -99,9 +99,9 @@ def hom(a: Root, b: Root) -> int:
     return 1 if b.i <= a.i < b.j <= a.j else 0
 
 
-def ext(a: Root, b: Root, n: int | None = None) -> int:
+def ext(a: Root, b: Root) -> int:
     """dim Ext between the interval modules, via hom minus the Euler pairing."""
-    size = n if n is not None else max(a.j, b.j)
+    size = max(a.j, b.j)
     value = hom(a, b) - euler_pairing(root_to_vector(a, size),
                                       root_to_vector(b, size))
     if value not in (0, 1):
@@ -109,17 +109,13 @@ def ext(a: Root, b: Root, n: int | None = None) -> int:
     return value
 
 
-def is_subroot(s: Root, b: Root) -> bool:
-    """Whether the interval module of ``s`` is a submodule of that of ``b``.
-
-    Arrows point 1 -> 2 -> ... -> n, so submodules of an interval are its
-    suffixes: s shares b's right endpoint and starts no earlier.
-    """
-    return b.i <= s.i and s.j == b.j
-
-
 def subroots(b: Root) -> Iterator[Root]:
-    """All subroots of ``b``, including ``b`` itself."""
+    """All subroots of ``b``, including ``b`` itself.
+
+    A subroot is a root whose interval module is a submodule of that of
+    ``b``.  Arrows point 1 -> 2 -> ... -> n, so submodules of an interval
+    are its suffixes: they share b's right endpoint and start no earlier.
+    """
     for i in range(b.i, b.j):
         yield Root(i, b.j)
 
@@ -154,11 +150,6 @@ class CMatrixReport:
     def first(self) -> Optional[CMatrixViolation]:
         return self.violations[0] if self.violations else None
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "violations": [{"kind": v.kind, "rows": list(v.rows),
-                                "detail": v.detail} for v in self.violations]}
-
 
 def validate_c_matrix(c: IntMatrix) -> CMatrixReport:
     """Check the compatibility constraints every reachable c-matrix obeys.
@@ -191,7 +182,7 @@ def validate_c_matrix(c: IntMatrix) -> CMatrixReport:
                         f"rows {a} and {b}"))
             elif a.sign > 0:
                 # pair (alpha, -beta): require hom(alpha,beta) = ext(alpha,beta) = 0
-                if hom(a.root, b.root) or ext(a.root, b.root, n):
+                if hom(a.root, b.root) or ext(a.root, b.root):
                     violations.append(CMatrixViolation(
                         "opposite_sign_not_orthogonal", (s + 1, t + 1),
                         f"rows {a} and {b}"))

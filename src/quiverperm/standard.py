@@ -66,11 +66,9 @@ def factor_standard(c: IntMatrix) -> Optional[StandardFactorization]:
         targets.append(canonical_row(sr))
     if sorted(targets) != list(range(1, n + 1)):
         return None
-    m = [None] * n
-    for row, t in zip(c, targets):
-        m[t - 1] = row
-    rho = Permutation(tuple(targets)).inverse()
-    return StandardFactorization(rho, tuple(m))
+    placement = Permutation(tuple(targets))
+    return StandardFactorization(placement.inverse(),
+                                 placement.apply_to_rows(c))
 
 
 def check_preservation(state: ExtendedExchangeMatrix, g) -> bool:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import quiverperm.formula
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
                         PictureWord, Root, SignedGenerator, TrackedState,
                         Verdict, apply_sequence, build_exchange_graph,
@@ -16,16 +17,6 @@ A2 = ExchangeMatrix.straight_a(2)
 X01 = SignedGenerator(Root(0, 1))
 X02 = SignedGenerator(Root(0, 2))
 X12 = SignedGenerator(Root(1, 2))
-
-
-def graph_states(n):
-    start = framed(ExchangeMatrix.straight_a(n))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        frontier = [s for m in frontier for k in range(1, n + 1)
-                    if (s := mutate(m, k)) not in seen and not seen.add(s)]
-    return seen
 
 
 def test_transposition_of():
@@ -74,16 +65,15 @@ def test_tracked_state_from_state():
 
 def test_tracked_state_steps():
     ts = TrackedState.from_state(framed(A2))
-    ts = ts.step(X12)
+    ts = ts.step_vertex(2)
     assert ts.sigma.is_identity()
-    ts = ts.step(X02)
+    ts = ts.step_vertex(1)
     assert ts.sigma == Permutation.transposition(2, 1, 2)
-    ts = ts.step(X01)
+    ts = ts.step_vertex(2)
     assert ts.sigma == Permutation.transposition(2, 1, 2)
+    assert ts.factors == (X12, X02, X01)
     assert ts.state == apply_sequence(framed(A2), (2, 1, 2))
     assert ts.state.c == ((0, -1), (-1, 0))
-    with pytest.raises(ValueError):
-        ts.step(X12)
 
 
 def test_step_vertex_matches_run():
@@ -92,16 +82,39 @@ def test_step_vertex_matches_run():
     assert ts.run(()) == ts
 
 
+def first_edge_failure(n):
+    """The first edge (c-matrix, vertex) of ``build_exchange_graph(n)``,
+    nodes in insertion order and vertices ascending, where one tracked
+    step breaks sigma == factor_standard(c).rho; ``None`` if none does."""
+    for c, state in build_exchange_graph(n).nodes.items():
+        ts = TrackedState(state, factor_standard(c).rho)
+        for k in range(1, n + 1):
+            stepped = ts.step_vertex(k)
+            if stepped.sigma != factor_standard(stepped.state.c).rho:
+                return c, k
+    return None
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_tracking_matches_refactoring_everywhere(n):
     # one mutation from any reachable state keeps the invariant
     # sigma == factor_standard(c).rho, so induction covers all paths
-    for state in graph_states(n):
-        sigma = factor_standard(state.c).rho
-        ts = TrackedState(state, sigma)
-        for k in range(1, n + 1):
-            stepped = ts.step_vertex(k)
-            assert stepped.sigma == factor_standard(stepped.state.c).rho
+    assert first_edge_failure(n) is None
+
+
+def test_edge_check_names_the_broken_edge(monkeypatch):
+    # dropping one generator's transposition must fail at its first edge
+    g0 = SignedGenerator(Root(0, 2))
+    real = quiverperm.formula.transposition_of
+    monkeypatch.setattr(
+        quiverperm.formula, "transposition_of",
+        lambda g, n: Permutation.identity(n) if g == g0 else real(g, n))
+    n = 3
+    first_g0_edge = next(
+        (c, k) for c, state in build_exchange_graph(n).nodes.items()
+        for k in range(1, n + 1)
+        if word_from_sequence(state, (k,)).factors == (g0,))
+    assert first_edge_failure(n) == first_g0_edge
 
 
 def test_tracking_matches_refactoring_along_paths():

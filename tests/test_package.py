@@ -1,3 +1,7 @@
+import ast
+import types
+from pathlib import Path
+
 import quiverperm
 
 
@@ -8,3 +12,33 @@ def test_public_names_resolve():
     namespace = {}
     exec("from quiverperm import *", namespace)
     assert set(quiverperm.__all__) <= set(namespace)
+
+
+def test_public_names_are_exported():
+    # a name the package imports but leaves out of __all__ is missing from
+    # star imports
+    public = [name for name, value in vars(quiverperm).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)]
+    assert sorted(set(public) - set(quiverperm.__all__)) == []
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(Path(quiverperm.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0]
+                                for alias in node.names)
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported.update(alias.asname or alias.name
+                                for alias in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

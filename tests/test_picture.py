@@ -4,7 +4,7 @@ import pytest
 
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
                         PictureWord, Relation, RelationVerdict, Root,
-                        SignedGenerator, act, act_word, all_pairs, allowed,
+                        SignedGenerator, act, act_word, allowed,
                         apply_sequence, coframed, coxeter, framed, mutate,
                         permute_rows, relation_holds_on, relations,
                         word_from_sequence)
@@ -169,10 +169,6 @@ def test_relations_catalog():
     assert kinds.count("commutation") == 2
     displays = {r.lhs.display for r in rels3 if r.kind == "commutation"}
     assert displays == {"x01 x23", "x03 x12"}
-
-
-def test_all_pairs():
-    assert all_pairs(2) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_relation_holds_on_framed():

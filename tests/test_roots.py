@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from quiverperm import (ExchangeMatrix, Root, SignedRoot, all_roots,
                         apply_sequence, euler_matrix, euler_pairing, ext,
-                        framed, hom, in_wall, is_subroot, mutate,
+                        framed, hom, in_wall, mutate,
                         root_to_vector, subroots, validate_c_matrix,
                         vector_to_signed_root)
 
@@ -109,7 +109,7 @@ def test_hom_and_ext_match_oracle(n):
     for (a, b) in all_root_pairs(n):
         ra, rb = Root(*a), Root(*b)
         assert hom(ra, rb) == hom_oracle(a, b, n)
-        assert ext(ra, rb, n) == ext_oracle(a, b, n)
+        assert ext(ra, rb) == ext_oracle(a, b, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -122,16 +122,15 @@ def test_euler_pairing_is_hom_minus_ext(n):
 
 def test_subroots_are_suffixes():
     assert list(subroots(Root(0, 3))) == [Root(0, 3), Root(1, 3), Root(2, 3)]
-    assert is_subroot(Root(1, 2), Root(0, 2))
-    assert not is_subroot(Root(0, 1), Root(0, 2))
-    assert is_subroot(Root(0, 2), Root(0, 2))
-    assert not is_subroot(Root(1, 2), Root(1, 3))
+    assert list(subroots(Root(0, 2))) == [Root(0, 2), Root(1, 2)]
+    assert list(subroots(Root(1, 3))) == [Root(1, 3), Root(2, 3)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_subroot_matches_submodule_oracle(n):
     for (a, b) in all_root_pairs(n):
-        assert is_subroot(Root(*a), Root(*b)) == is_submodule_oracle(a, b, n)
+        assert (Root(*a) in set(subroots(Root(*b)))) \
+            == is_submodule_oracle(a, b, n)
 
 
 def test_in_wall():
@@ -188,12 +187,3 @@ def test_validate_c_matrix_opposite_sign():
     report = validate_c_matrix(((1, 0), (0, -1)))
     assert not report.ok
     assert report.first.kind == "opposite_sign_not_orthogonal"
-
-
-def test_validate_report_json():
-    data = validate_c_matrix(((1, 0), (1, 1))).to_json()
-    assert data["ok"] is False
-    assert data["violations"][0]["kind"] == "same_sign_not_hom_orthogonal"
-    assert data["violations"][0]["rows"] == [1, 2]
-    assert validate_c_matrix(((1, 0), (0, 1))).to_json() == {
-        "ok": True, "violations": []}
