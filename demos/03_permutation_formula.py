@@ -8,8 +8,8 @@ the row permutation from the coframe (reddening sequences) or from the
 start (loops).
 """
 
-from quiverperm import (ExchangeMatrix, TrackedState, framed, is_loop,
-                        transposition_of, verify, word_from_sequence)
+from quiverperm import (ExchangeMatrix, TrackedState, framed, transposition_of,
+                        verify, word_from_sequence)
 
 m = framed(ExchangeMatrix.straight_a(2))
 
@@ -37,7 +37,7 @@ for s in [(1, 2), (2, 1, 2), (2, 2), (2, 1, 2, 1, 2), (2,)]:
 print()
 
 print("the pentagon loop returns to the start with rows 1 and 2 swapped:")
-rho = is_loop(m, (2, 1, 2, 1, 2))
+rho = verify(m, (2, 1, 2, 1, 2)).observed_perm
 print("  loop permutation:", rho.cycle_string())
 print()
 

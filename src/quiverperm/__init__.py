@@ -7,7 +7,6 @@ exact integer arithmetic with exhaustive desk-scale verification.
 """
 
 from .formula import (FormulaReport, TrackedState, Verdict, formula_permutation,
-                      is_loop, is_reddening, observed_reddening_permutation,
                       transposition_of, verify)
 from .perm import Permutation
 from .picture import (PictureWord, Relation, RelationVerdict, SignedGenerator,
@@ -42,9 +41,8 @@ __all__ = [
     "count_reachable_states", "coxeter", "enumerate_loops", "enumerate_mgs",
     "euler_matrix", "euler_pairing", "ext", "factor_standard",
     "find_row_permutation", "format_state", "formula_permutation", "framed",
-    "graph_to_dot", "hom", "in_wall", "is_all_red", "is_framed", "is_loop",
-    "is_reddening", "is_standard", "mgs_census", "mutate",
-    "observed_reddening_permutation", "permute_rows", "reconstructed_b",
+    "graph_to_dot", "hom", "in_wall", "is_all_red", "is_framed",
+    "is_standard", "mgs_census", "mutate", "permute_rows", "reconstructed_b",
     "relation_holds_on", "relations", "root_to_vector", "state_to_dot",
     "state_to_json", "subroots", "transposition_of", "validate_c_matrix",
     "vector_to_signed_root", "verify", "vertex_color", "word_from_sequence",

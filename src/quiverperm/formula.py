@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 from .perm import Permutation
 from .picture import PictureWord, SignedGenerator, step, transposition_of
-from .quiver import (ExchangeMatrix, ExtendedExchangeMatrix, apply_sequence,
-                     coframed, find_row_permutation, is_all_red, is_framed)
+from .quiver import (ExchangeMatrix, ExtendedExchangeMatrix, coframed,
+                     find_row_permutation, is_all_red, is_framed)
 from .standard import factor_standard
 
 
@@ -71,41 +71,6 @@ class TrackedState:
         return cur
 
 
-def _coframe_permutation(m: ExtendedExchangeMatrix,
-                         end: ExtendedExchangeMatrix) -> Permutation:
-    """The row permutation carrying the coframe of ``m`` to the all-red
-    endpoint ``end``."""
-    rho = find_row_permutation(coframed(ExchangeMatrix(m.b)), end)
-    if rho is None:
-        raise ValueError("all-red endpoint is not a row permutation of the coframe")
-    return rho
-
-
-def is_reddening(m: ExtendedExchangeMatrix, seq: Sequence[int]) -> bool:
-    """Whether ``seq`` turns every vertex red.  Requires a framed start."""
-    if not is_framed(m):
-        raise ValueError("reddening sequences are defined from a framed state")
-    return is_all_red(apply_sequence(m, seq))
-
-
-def is_loop(m: ExtendedExchangeMatrix,
-            seq: Sequence[int]) -> Optional[Permutation]:
-    """The row permutation carrying the start state to the end state, or
-    ``None`` when the sequence is not a loop."""
-    return find_row_permutation(m, apply_sequence(m, seq))
-
-
-def observed_reddening_permutation(m: ExtendedExchangeMatrix,
-                                   seq: Sequence[int]) -> Permutation:
-    """The row permutation carrying the coframe to the all-red endpoint."""
-    if not is_framed(m):
-        raise ValueError("reddening sequences are defined from a framed state")
-    end = apply_sequence(m, seq)
-    if not is_all_red(end):
-        raise ValueError("sequence is not reddening")
-    return _coframe_permutation(m, end)
-
-
 class Verdict(Enum):
     MATCH = "match"
     MISMATCH = "mismatch"
@@ -143,7 +108,9 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     it is the row permutation from the coframe to the endpoint, for a loop
     the row permutation from the start.  A sequence that is neither has
     nothing to compare against and reports NotApplicable.  Raises
-    ``ValueError`` when the starting c-matrix does not factor.
+    ``ValueError`` when the starting c-matrix does not factor, or when the
+    all-red endpoint of a framed start is not a row permutation of the
+    coframe.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
@@ -155,7 +122,11 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
     if is_framed(m) and is_all_red(end.state):
-        observed = _coframe_permutation(m, end.state)
+        observed = find_row_permutation(coframed(ExchangeMatrix(m.b)),
+                                        end.state)
+        if observed is None:
+            raise ValueError(
+                "all-red endpoint is not a row permutation of the coframe")
     else:
         observed = find_row_permutation(m, end.state)
     if observed is None:

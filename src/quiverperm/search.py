@@ -25,7 +25,6 @@ from .picture import PictureWord
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
                      find_row_permutation, framed, mutate, reconstructed_b,
                      vertex_color)
-from .standard import is_standard
 
 MAX_N = 5
 """Largest rank the exhaustive traversals accept.  At n = 5 the exchange
@@ -48,7 +47,6 @@ class ExchangeGraph:
     insert.  ``edges[key][k-1]`` is the key reached by mutating at k.
     """
 
-    b0: ExchangeMatrix
     nodes: dict[IntMatrix, ExtendedExchangeMatrix] = field(default_factory=dict)
     edges: dict[IntMatrix, tuple[IntMatrix, ...]] = field(default_factory=dict)
 
@@ -56,16 +54,13 @@ class ExchangeGraph:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def standard_nodes(self) -> list[ExtendedExchangeMatrix]:
-        return [m for key, m in self.nodes.items() if is_standard(key)]
-
 
 def build_exchange_graph(n: int) -> ExchangeGraph:
     """Breadth-first closure of the framed straight-A_n state under mutation,
     for ``n <= MAX_N``."""
     b0 = _straight_a(n)
     start = framed(b0)
-    graph = ExchangeGraph(b0)
+    graph = ExchangeGraph()
     graph.nodes[start.c] = start
     queue = [start]
     while queue:

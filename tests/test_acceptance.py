@@ -16,9 +16,9 @@ from quiverperm import (ExchangeMatrix, Permutation, Root, RelationVerdict,
                         build_exchange_graph, check_preservation, coframed,
                         count_loops_by_replay, count_mgs,
                         count_reachable_states, enumerate_loops,
-                        enumerate_mgs, ext, factor_standard, framed, hom,
-                        is_all_red, is_reddening, is_standard, euler_pairing,
-                        observed_reddening_permutation, relation_holds_on,
+                        enumerate_mgs, ext, factor_standard,
+                        find_row_permutation, framed, hom, is_all_red,
+                        is_standard, euler_pairing, relation_holds_on,
                         relations, reconstructed_b, root_to_vector,
                         validate_c_matrix, vector_to_signed_root, verify,
                         vertex_color)
@@ -67,8 +67,11 @@ def test_criterion_01_rank2_baseline(capsys):
             assert state.b == b and state.c == c
 
         swap = Permutation.transposition(2, 1, 2)
-        assert observed_reddening_permutation(m, (1, 2)).is_identity()
-        assert observed_reddening_permutation(m, (2, 1, 2)) == swap
+        coframe = coframed(ExchangeMatrix.straight_a(2))
+        assert find_row_permutation(
+            coframe, apply_sequence(m, (1, 2))).is_identity()
+        assert find_row_permutation(
+            coframe, apply_sequence(m, (2, 1, 2))) == swap
         for r in results:
             report = verify(m, r.sequence)
             assert report.verdict is Verdict.MATCH
@@ -83,8 +86,11 @@ def test_criterion_02_formula_on_every_mgs(capsys):
     def body():
         for n in (2, 3, 4):
             m = framed(ExchangeMatrix.straight_a(n))
+            coframe = coframed(ExchangeMatrix.straight_a(n))
             for r in enumerate_mgs(n):
-                observed = observed_reddening_permutation(m, r.sequence)
+                end = apply_sequence(m, r.sequence)
+                assert is_all_red(end)
+                observed = find_row_permutation(coframe, end)
                 assert observed == r.permutation
                 report = verify(m, r.sequence)
                 assert report.verdict is Verdict.MATCH
@@ -117,7 +123,9 @@ def test_criterion_04_preservation_with_row_moves(capsys):
         frozen = {1: (2, 0, 0), 2: (10, 0, 1), 3: (42, 2, 6), 4: (168, 18, 28)}
         for n in (1, 2, 3, 4):
             total_allowed = case_c = case_d = 0
-            for state in graph(n).standard_nodes():
+            standards = [state for key, state in graph(n).nodes.items()
+                         if is_standard(key)]
+            for state in standards:
                 for root in all_roots(n):
                     for delta in (1, -1):
                         g = SignedGenerator(root, delta)
@@ -151,7 +159,7 @@ def test_criterion_05_factorization_uniqueness(capsys):
         for n in (1, 2, 3):
             perms = [Permutation(im)
                      for im in itertools.permutations(range(1, n + 1))]
-            standards = [m.c for m in graph(n).standard_nodes()]
+            standards = [c for c in graph(n).nodes if is_standard(c)]
             assert standards
             for c in standards:
                 for rho in perms:
@@ -233,8 +241,8 @@ def test_criterion_09_reddening_endpoints_standardize_to_minus_identity(capsys):
             minus_i = coframed(ExchangeMatrix.straight_a(n)).c
             for length in range(1, 7):
                 for seq in itertools.product(range(1, n + 1), repeat=length):
-                    if is_reddening(m, seq):
-                        end = apply_sequence(m, seq)
+                    end = apply_sequence(m, seq)
+                    if is_all_red(end):
                         assert factor_standard(end.c).m == minus_i
 
     criterion(capsys, 9, "every reddening endpoint factors as a permutation "

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +8,9 @@ import quiverperm.formula
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
                         PictureWord, Root, SignedGenerator, TrackedState,
                         Verdict, apply_sequence, build_exchange_graph,
-                        enumerate_loops, enumerate_mgs, factor_standard,
-                        framed, formula_permutation, is_loop, is_reddening,
-                        mutate, observed_reddening_permutation,
+                        coframed, enumerate_loops, enumerate_mgs,
+                        factor_standard, find_row_permutation,
+                        formula_permutation, framed, is_all_red, mutate,
                         transposition_of, verify, word_from_sequence)
 
 A2 = ExchangeMatrix.straight_a(2)
@@ -102,6 +103,36 @@ def test_tracking_matches_refactoring_everywhere(n):
     assert first_edge_failure(n) is None
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_all_red_nodes_are_row_permutations_of_the_coframe(n):
+    """Every all-red node factors through -I, and there are n! of them.
+
+    With the edge check above this proves the formula at rank n for every
+    sequence of every length, not only the lengths the sweeps enumerate.
+    Along any path the edge check gives rho(end) = rho(start) t_1 ... t_N,
+    with rho = factor_standard(c).rho; that is the sigma a TrackedState
+    carries, so verify's prediction is rho(end) rho(start)^-1.
+
+    - Loops: if end is the start with its rows moved by pi, then
+      end.c = pi rho(start) S for the standard S of the start.  The
+      factorization is unique (see ``quiverperm.standard``; criterion 5
+      checks it exhaustively for n <= 3), so rho(end) = pi rho(start) and
+      pi equals the prediction.  This is criterion 3's statement.
+    - Reddening sequences: the framed start has rho = id.  This check says
+      an all-red endpoint is -I with its rows moved by rho(end), and its
+      b-part follows from its c-part (B = C B0 C^t, asserted by the graph
+      builder), so the coframe's row permutation onto it is rho(end),
+      the prediction.  This is criterion 2's statement, and criterion 9's
+      for every length.
+    """
+    minus_i = coframed(ExchangeMatrix.straight_a(n)).c
+    red = [c for c, state in build_exchange_graph(n).nodes.items()
+           if is_all_red(state)]
+    assert len(red) == math.factorial(n)
+    for c in red:
+        assert factor_standard(c).m == minus_i
+
+
 def test_edge_check_names_the_broken_edge(monkeypatch):
     # dropping one generator's transposition must fail at its first edge
     g0 = SignedGenerator(Root(0, 2))
@@ -125,32 +156,25 @@ def test_tracking_matches_refactoring_along_paths():
             assert ts.sigma == factor_standard(ts.state.c).rho
 
 
-def test_is_reddening():
+def test_loop_and_reddening_observations_by_replay():
+    # the observations verify reports, replayed with plain mutate
     m = framed(A2)
-    assert is_reddening(m, (1, 2))
-    assert is_reddening(m, (2, 1, 2))
-    assert not is_reddening(m, (1,))
-    assert not is_reddening(m, ())
-    with pytest.raises(ValueError):
-        is_reddening(mutate(m, 1), (1, 2))
-
-
-def test_is_loop():
-    m = framed(A2)
-    assert is_loop(m, ()).is_identity()
-    assert is_loop(m, (2, 2)).is_identity()
-    assert is_loop(m, (2, 1, 2, 1, 2)) == Permutation.transposition(2, 1, 2)
-    assert is_loop(m, (1,)) is None
-    assert is_loop(m, (2, 1, 2)) is None
-
-
-def test_observed_reddening_permutation():
-    m = framed(A2)
-    assert observed_reddening_permutation(m, (1, 2)).is_identity()
-    assert observed_reddening_permutation(m, (2, 1, 2)) \
-        == Permutation.transposition(2, 1, 2)
-    with pytest.raises(ValueError):
-        observed_reddening_permutation(m, (1,))
+    ident = Permutation.identity(2)
+    swap = Permutation.transposition(2, 1, 2)
+    coframe = coframed(A2)
+    for seq, rho in [((1, 2), ident), ((2, 1, 2), swap)]:
+        end = apply_sequence(m, seq)
+        assert is_all_red(end)
+        assert find_row_permutation(coframe, end) == rho
+        assert verify(m, seq).observed_perm == rho
+    for seq in [(1,), ()]:
+        assert not is_all_red(apply_sequence(m, seq))
+    for seq, rho in [((), ident), ((2, 2), ident), ((2, 1, 2, 1, 2), swap)]:
+        assert find_row_permutation(m, apply_sequence(m, seq)) == rho
+        assert verify(m, seq).observed_perm == rho
+    for seq in [(1,), (2, 1, 2)]:
+        assert find_row_permutation(m, apply_sequence(m, seq)) is None
+    assert verify(m, (1,)).observed_perm is None
 
 
 def test_verify_reddening_sequences():
@@ -180,14 +204,18 @@ def _assert_one_walk_matches_standalone(m, seq, observed):
 def test_verify_one_walk_matches_standalone_pieces():
     # verify walks each sequence once; every field of its report must equal
     # what the separate replays compute
-    m = framed(ExchangeMatrix.straight_a(4))
+    a4 = ExchangeMatrix.straight_a(4)
+    m = framed(a4)
     for r in enumerate_mgs(4):
         _assert_one_walk_matches_standalone(
-            m, r.sequence, observed_reddening_permutation(m, r.sequence))
+            m, r.sequence,
+            find_row_permutation(coframed(a4), apply_sequence(m, r.sequence)))
     for state in build_exchange_graph(3).nodes.values():
         for loop in enumerate_loops(state, 4):
             _assert_one_walk_matches_standalone(
-                state, loop.sequence, is_loop(state, loop.sequence))
+                state, loop.sequence,
+                find_row_permutation(state,
+                                     apply_sequence(state, loop.sequence)))
 
 
 @given(st.integers(1, 5), st.data())
@@ -224,6 +252,14 @@ def test_verify_unfactorable_start():
     bad = ExtendedExchangeMatrix(((0, 0), (0, 0)), ((1, 0), (1, 1)))
     with pytest.raises(ValueError):
         verify(bad, ())
+
+
+def test_verify_rejects_an_endpoint_off_the_coframe(monkeypatch):
+    # negative control: measured against the frame instead of the coframe,
+    # the all-red endpoint of (2, 1, 2) matches no row permutation
+    monkeypatch.setattr(quiverperm.formula, "coframed", framed)
+    with pytest.raises(ValueError, match="coframe"):
+        verify(framed(A2), (2, 1, 2))
 
 
 def test_verify_corrupt_negative_control():

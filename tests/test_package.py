@@ -24,10 +24,13 @@ def test_public_names_are_exported():
 
 
 def test_no_unused_imports():
+    package = Path(quiverperm.__file__).parent
+    root = Path(__file__).parent.parent
+    # __init__ imports names only to re-export them
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(root.glob("tests/*.py")) + sorted(root.glob("demos/*.py"))
     unused = []
-    for path in sorted(Path(quiverperm.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text())
         imported = set()
         for node in ast.walk(tree):
@@ -40,5 +43,6 @@ def test_no_unused_imports():
                                 for alias in node.names)
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+        unused += [f"{path.relative_to(path.parent.parent)}: {name}"
+                   for name in sorted(imported - used)]
     assert unused == []

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
-                        PictureWord, Relation, RelationVerdict, Root,
+                        PictureWord, RelationVerdict, Root,
                         SignedGenerator, act, act_word, allowed,
                         apply_sequence, coframed, coxeter, framed, mutate,
                         permute_rows, relation_holds_on, relations,

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quiverperm import (ExchangeMatrix, Root, SignedRoot, all_roots,
-                        apply_sequence, euler_matrix, euler_pairing, ext,
-                        framed, hom, in_wall, mutate,
-                        root_to_vector, subroots, validate_c_matrix,
+                        euler_matrix, euler_pairing, ext, framed, hom, in_wall,
+                        mutate, root_to_vector, subroots, validate_c_matrix,
                         vector_to_signed_root)
 
 from rep_oracle import (all_root_pairs, ext_oracle, hom_oracle,

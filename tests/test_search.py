@@ -140,18 +140,16 @@ def test_graph_edges_are_involutive():
 
 
 def test_graph_states_are_consistent():
-    graph = build_exchange_graph(3)
-    for key, state in graph.nodes.items():
+    b0 = ExchangeMatrix.straight_a(3).b
+    for key, state in build_exchange_graph(3).nodes.items():
         assert state.c == key
-        assert state.b == reconstructed_b(graph.b0.b, key)
+        assert state.b == reconstructed_b(b0, key)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (2, 5), (3, 14), (4, 42)])
 def test_standard_node_counts_are_catalan(n, expected):
     graph = build_exchange_graph(n)
-    standards = graph.standard_nodes()
-    assert len(standards) == expected
-    assert all(is_standard(m.c) for m in standards)
+    assert sum(is_standard(c) for c in graph.nodes) == expected
 
 
 def test_enumerate_loops_short():
