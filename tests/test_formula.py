@@ -156,24 +156,41 @@ def test_tracking_matches_refactoring_along_paths():
             assert ts.sigma == factor_standard(ts.state.c).rho
 
 
-def test_loop_and_reddening_observations_by_replay():
-    # the observations verify reports, replayed with plain mutate
+def test_is_reddening():
+    # a sequence is reddening when its endpoint is all red, replayed with
+    # plain mutate
     m = framed(A2)
-    ident = Permutation.identity(2)
+    assert is_all_red(apply_sequence(m, (1, 2)))
+    assert is_all_red(apply_sequence(m, (2, 1, 2)))
+    assert not is_all_red(apply_sequence(m, (1,)))
+    assert not is_all_red(apply_sequence(m, ()))
+
+
+def test_is_loop():
+    # a sequence is a loop when its endpoint is a row permutation of the
+    # start; verify observes the same permutation
+    m = framed(A2)
     swap = Permutation.transposition(2, 1, 2)
+    for seq, rho in [((), Permutation.identity(2)),
+                     ((2, 2), Permutation.identity(2)),
+                     ((2, 1, 2, 1, 2), swap)]:
+        assert find_row_permutation(m, apply_sequence(m, seq)) == rho
+        assert verify(m, seq).observed_perm == rho
+    assert find_row_permutation(m, apply_sequence(m, (1,))) is None
+    assert find_row_permutation(m, apply_sequence(m, (2, 1, 2))) is None
+
+
+def test_observed_reddening_permutation():
+    # the endpoint of a reddening sequence is a row permutation of the
+    # coframe; verify observes the same permutation
+    m = framed(A2)
     coframe = coframed(A2)
-    for seq, rho in [((1, 2), ident), ((2, 1, 2), swap)]:
+    swap = Permutation.transposition(2, 1, 2)
+    for seq, rho in [((1, 2), Permutation.identity(2)), ((2, 1, 2), swap)]:
         end = apply_sequence(m, seq)
         assert is_all_red(end)
         assert find_row_permutation(coframe, end) == rho
         assert verify(m, seq).observed_perm == rho
-    for seq in [(1,), ()]:
-        assert not is_all_red(apply_sequence(m, seq))
-    for seq, rho in [((), ident), ((2, 2), ident), ((2, 1, 2, 1, 2), swap)]:
-        assert find_row_permutation(m, apply_sequence(m, seq)) == rho
-        assert verify(m, seq).observed_perm == rho
-    for seq in [(1,), (2, 1, 2)]:
-        assert find_row_permutation(m, apply_sequence(m, seq)) is None
     assert verify(m, (1,)).observed_perm is None
 
 
