@@ -5,9 +5,7 @@ ends with every vertex red.  For the straight A_n quiver the counts are
 small enough to enumerate outright: 1, 2, 9, 98 for n = 1..4.
 """
 
-import io
-
-from quiverperm import (count_mgs, enumerate_mgs, mgs_census, write_mgs_jsonl)
+from quiverperm import count_mgs, enumerate_mgs, mgs_census
 
 print("all maximal green sequences for n = 3:")
 for r in enumerate_mgs(3):
@@ -26,9 +24,3 @@ for n in (1, 2, 3, 4):
     counted = count_mgs(n)
     print(f"  n={n}: enumerated {enumerated}, counted {counted}, "
           f"equal {enumerated == counted}")
-print()
-
-print("JSONL export, one sequence per line:")
-buf = io.StringIO()
-write_mgs_jsonl(enumerate_mgs(2), buf)
-print(buf.getvalue(), end="")

@@ -47,6 +47,6 @@ print()
 
 print("validity catches rows that cannot coexist in a c-matrix:")
 for c in [((1, 0), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (0, -1))]:
-    report = validate_c_matrix(c)
-    verdict = "ok" if report.ok else report.first.kind
+    violations = validate_c_matrix(c)
+    verdict = violations[0].kind if violations else "ok"
     print(f"  {c}: {verdict}")

@@ -26,9 +26,10 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .perm import Permutation
-from .picture import PictureWord, SignedGenerator, step, transposition_of
+from .picture import PictureWord, step, transposition_of
 from .quiver import (ExchangeMatrix, ExtendedExchangeMatrix, coframed,
                      find_row_permutation, is_all_red, is_framed)
+from .roots import SignedGenerator
 from .standard import factor_standard
 
 

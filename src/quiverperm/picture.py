@@ -21,26 +21,8 @@ from typing import Optional, Sequence
 
 from .perm import Permutation
 from .quiver import ExtendedExchangeMatrix, find_row_permutation, mutate
-from .roots import Root, all_roots, root_to_vector, vector_to_signed_root
-
-
-@dataclass(frozen=True)
-class SignedGenerator:
-    root: Root
-    delta: int = 1
-
-    def __post_init__(self):
-        if self.delta not in (1, -1):
-            raise ValueError("delta must be +1 or -1")
-
-    def __str__(self) -> str:
-        i, j = self.root.i, self.root.j
-        base = f"x{i}{j}" if j <= 9 else f"x({i},{j})"
-        return base if self.delta > 0 else base + "^-1"
-
-    def to_json(self) -> dict:
-        return {"i": self.root.i, "j": self.root.j,
-                "delta": "+" if self.delta > 0 else "-"}
+from .roots import (Root, SignedGenerator, all_roots, root_to_vector,
+                    vector_to_signed_root)
 
 
 @dataclass(frozen=True)
@@ -94,11 +76,11 @@ def step(m: ExtendedExchangeMatrix,
          k: int) -> tuple[SignedGenerator, ExtendedExchangeMatrix]:
     """Mutate at ``k``: the signed generator spelled by the c-vector of
     ``k`` before the mutation, and the state after it."""
-    sr = vector_to_signed_root(m.c_row(k))
-    if sr is None:
+    g = vector_to_signed_root(m.c_row(k))
+    if g is None:
         raise ValueError(
             f"c-vector of vertex {k} is not a signed root: {m.c_row(k)}")
-    return SignedGenerator(sr.root, sr.sign), mutate(m, k)
+    return g, mutate(m, k)
 
 
 def word_from_sequence(m: ExtendedExchangeMatrix,

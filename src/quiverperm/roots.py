@@ -31,17 +31,26 @@ class Root:
         return f"b{self.i}{self.j}" if self.j <= 9 else f"b({self.i},{self.j})"
 
 
-@dataclass(frozen=True, order=True)
-class SignedRoot:
-    sign: int
+@dataclass(frozen=True)
+class SignedGenerator:
+    """The signed root ``delta * b_ij``, read as the picture-group
+    generator x_ij^delta it spells."""
+
     root: Root
+    delta: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        if self.delta not in (1, -1):
+            raise ValueError("delta must be +1 or -1")
 
     def __str__(self) -> str:
-        return ("+" if self.sign > 0 else "-") + str(self.root)
+        i, j = self.root.i, self.root.j
+        base = f"x{i}{j}" if j <= 9 else f"x({i},{j})"
+        return base if self.delta > 0 else base + "^-1"
+
+    def to_json(self) -> dict:
+        return {"i": self.root.i, "j": self.root.j,
+                "delta": "+" if self.delta > 0 else "-"}
 
 
 def all_roots(n: int) -> list[Root]:
@@ -54,7 +63,7 @@ def root_to_vector(r: Root, n: int) -> tuple[int, ...]:
     return tuple(1 if r.i < k <= r.j else 0 for k in range(1, n + 1))
 
 
-def vector_to_signed_root(v: Sequence[int]) -> Optional[SignedRoot]:
+def vector_to_signed_root(v: Sequence[int]) -> Optional[SignedGenerator]:
     """Read a vector as a signed root, or ``None`` if it is not one.
 
     Accepts exactly the vectors that are +1 or -1 on a nonempty contiguous
@@ -69,7 +78,7 @@ def vector_to_signed_root(v: Sequence[int]) -> Optional[SignedRoot]:
     sign = 1 if v[lo] > 0 else -1
     if any(v[k] != sign for k in support):
         return None
-    return SignedRoot(sign, Root(lo, hi + 1))
+    return SignedGenerator(Root(lo, hi + 1), sign)
 
 
 def euler_matrix(n: int) -> IntMatrix:
@@ -141,18 +150,9 @@ class CMatrixViolation:
     detail: str
 
 
-@dataclass(frozen=True)
-class CMatrixReport:
-    ok: bool
-    violations: tuple[CMatrixViolation, ...]
-
-    @property
-    def first(self) -> Optional[CMatrixViolation]:
-        return self.violations[0] if self.violations else None
-
-
-def validate_c_matrix(c: IntMatrix) -> CMatrixReport:
-    """Check the compatibility constraints every reachable c-matrix obeys.
+def validate_c_matrix(c: IntMatrix) -> tuple[CMatrixViolation, ...]:
+    """The compatibility constraints every reachable c-matrix obeys that
+    ``c`` violates; empty when ``c`` satisfies them all.
 
     1. every row is a signed root;
     2. rows of equal sign are Hom-orthogonal in both directions;
@@ -161,11 +161,11 @@ def validate_c_matrix(c: IntMatrix) -> CMatrixReport:
     """
     n = len(c)
     violations = []
-    parsed: list[Optional[SignedRoot]] = []
+    parsed: list[Optional[SignedGenerator]] = []
     for idx, row in enumerate(c, start=1):
-        sr = vector_to_signed_root(row)
-        parsed.append(sr)
-        if sr is None:
+        g = vector_to_signed_root(row)
+        parsed.append(g)
+        if g is None:
             violations.append(CMatrixViolation(
                 "not_signed_root", (idx,), f"row {idx} = {row}"))
     for s in range(n):
@@ -175,15 +175,15 @@ def validate_c_matrix(c: IntMatrix) -> CMatrixReport:
             a, b = parsed[s], parsed[t]
             if a is None or b is None:
                 continue
-            if a.sign == b.sign:
+            if a.delta == b.delta:
                 if s < t and (hom(a.root, b.root) or hom(b.root, a.root)):
                     violations.append(CMatrixViolation(
                         "same_sign_not_hom_orthogonal", (s + 1, t + 1),
                         f"rows {a} and {b}"))
-            elif a.sign > 0:
+            elif a.delta > 0:
                 # pair (alpha, -beta): require hom(alpha,beta) = ext(alpha,beta) = 0
                 if hom(a.root, b.root) or ext(a.root, b.root):
                     violations.append(CMatrixViolation(
                         "opposite_sign_not_orthogonal", (s + 1, t + 1),
                         f"rows {a} and {b}"))
-    return CMatrixReport(not violations, tuple(violations))
+    return tuple(violations)

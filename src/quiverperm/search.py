@@ -13,11 +13,9 @@ between the two is evidence, not tautology.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import IO
 
 from .formula import TrackedState
 from .perm import Permutation
@@ -240,17 +238,6 @@ def mgs_census(n: int) -> dict:
         "min_length": min(lengths),
         "max_length": max(lengths),
     }
-
-
-def write_mgs_jsonl(results: list[MGSResult], fp: IO[str]) -> None:
-    """One sequence per line: vertices, word, permutation, length."""
-    for r in results:
-        fp.write(json.dumps({
-            "vertices": list(r.sequence),
-            "word": r.word.to_json(),
-            "permutation": r.permutation.cycle_string(),
-            "length": len(r.sequence),
-        }) + "\n")
 
 
 def graph_to_dot(graph: ExchangeGraph) -> str:

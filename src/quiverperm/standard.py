@@ -16,7 +16,7 @@ from typing import Optional
 from .perm import Permutation
 from .picture import act, transposition_of
 from .quiver import ExtendedExchangeMatrix, IntMatrix, permute_rows
-from .roots import SignedRoot, vector_to_signed_root
+from .roots import SignedGenerator, vector_to_signed_root
 
 
 def is_standard(m: IntMatrix) -> bool:
@@ -36,10 +36,10 @@ def is_standard(m: IntMatrix) -> bool:
     return True
 
 
-def canonical_row(r: SignedRoot) -> int:
+def canonical_row(g: SignedGenerator) -> int:
     """The only row (1-based) where this signed root can sit in a standard
     matrix: row i+1 for +b_ij, row j for -b_ij."""
-    return r.root.i + 1 if r.sign > 0 else r.root.j
+    return g.root.i + 1 if g.delta > 0 else g.root.j
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,10 @@ def factor_standard(c: IntMatrix) -> Optional[StandardFactorization]:
     n = len(c)
     targets = []
     for row in c:
-        sr = vector_to_signed_root(row)
-        if sr is None:
+        g = vector_to_signed_root(row)
+        if g is None:
             return None
-        targets.append(canonical_row(sr))
+        targets.append(canonical_row(g))
     if sorted(targets) != list(range(1, n + 1)):
         return None
     placement = Permutation(tuple(targets))

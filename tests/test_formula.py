@@ -83,6 +83,11 @@ def test_step_vertex_matches_run():
     assert ts.run(()) == ts
 
 
+# n = 5 (15840 states, 79200 edges) takes seconds, so it is opt-in:
+# pytest -m slow
+EDGE_CHECK_RANKS = [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
+
+
 def first_edge_failure(n):
     """The first edge (c-matrix, vertex) of ``build_exchange_graph(n)``,
     nodes in insertion order and vertices ascending, where one tracked
@@ -96,14 +101,14 @@ def first_edge_failure(n):
     return None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", EDGE_CHECK_RANKS)
 def test_tracking_matches_refactoring_everywhere(n):
     # one mutation from any reachable state keeps the invariant
     # sigma == factor_standard(c).rho, so induction covers all paths
     assert first_edge_failure(n) is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", EDGE_CHECK_RANKS)
 def test_all_red_nodes_are_row_permutations_of_the_coframe(n):
     """Every all-red node factors through -I, and there are n! of them.
 

@@ -1,6 +1,4 @@
 import gc
-import io
-import json
 import weakref
 from itertools import product
 
@@ -12,7 +10,7 @@ from quiverperm import (ExchangeMatrix, Permutation, PictureWord, Root,
                         count_reachable_states, enumerate_loops,
                         enumerate_mgs, find_row_permutation, framed,
                         graph_to_dot, is_all_red, is_standard, mgs_census,
-                        mutate, reconstructed_b, write_mgs_jsonl)
+                        mutate, reconstructed_b)
 
 A2 = ExchangeMatrix.straight_a(2)
 
@@ -219,19 +217,6 @@ def test_loop_counts_depth6_frozen():
     results = enumerate_loops(m, max_len=6)
     assert len(results) == 30
     assert count_loops_by_replay(m, 6) == 30
-
-
-def test_write_mgs_jsonl():
-    buf = io.StringIO()
-    write_mgs_jsonl(enumerate_mgs(2), buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert lines == [
-        {"vertices": [1, 2], "word": PictureWord((X01, X12)).to_json(),
-         "permutation": "id", "length": 2},
-        {"vertices": [2, 1, 2],
-         "word": PictureWord((X12, X02, X01)).to_json(),
-         "permutation": "(12)", "length": 3},
-    ]
 
 
 def test_graph_to_dot():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverperm import (ExchangeMatrix, Permutation, Root, SignedGenerator,
-                        SignedRoot, apply_sequence, canonical_row,
-                        check_preservation, factor_standard, framed,
-                        is_standard, mutate, vector_to_signed_root)
+                        apply_sequence, canonical_row, check_preservation,
+                        factor_standard, framed, is_standard, mutate,
+                        vector_to_signed_root)
 
 A2 = ExchangeMatrix.straight_a(2)
 
@@ -39,13 +39,13 @@ def test_is_standard_rejects_non_roots():
 
 
 def test_canonical_row():
-    assert canonical_row(SignedRoot(1, Root(0, 2))) == 1
-    assert canonical_row(SignedRoot(-1, Root(0, 2))) == 2
-    assert canonical_row(SignedRoot(1, Root(1, 3))) == 2
-    assert canonical_row(SignedRoot(-1, Root(1, 3))) == 3
+    assert canonical_row(SignedGenerator(Root(0, 2))) == 1
+    assert canonical_row(SignedGenerator(Root(0, 2), -1)) == 2
+    assert canonical_row(SignedGenerator(Root(1, 3))) == 2
+    assert canonical_row(SignedGenerator(Root(1, 3), -1)) == 3
     # simple roots: both signs target the same row
-    assert canonical_row(SignedRoot(1, Root(1, 2))) == 2
-    assert canonical_row(SignedRoot(-1, Root(1, 2))) == 2
+    assert canonical_row(SignedGenerator(Root(1, 2))) == 2
+    assert canonical_row(SignedGenerator(Root(1, 2), -1)) == 2
 
 
 def test_standard_matrix_rows_sit_in_canonical_position():
