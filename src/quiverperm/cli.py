@@ -105,9 +105,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if args.format == "json":
                 fp.write(json.dumps({"kind": kind, "vertices": list(seq),
                                      **report.to_json()}) + "\n")
-            elif report.observed_perm is None:
-                fp.write(f"{kind} {' '.join(map(str, seq))}: "
-                         f"{report.verdict.value}\n")
             else:
                 fp.write(f"{kind} {' '.join(map(str, seq))}: "
                          f"{report.verdict.value} "

@@ -131,7 +131,7 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     else:
         observed = find_row_permutation(m, end.state)
     if observed is None:
-        return FormulaReport(word, start.sigma, predicted, None,
-                             Verdict.NOT_APPLICABLE)
-    verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
+        verdict = Verdict.NOT_APPLICABLE
+    else:
+        verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
     return FormulaReport(word, start.sigma, predicted, observed, verdict)

@@ -164,8 +164,11 @@ def relation_holds_on(m: ExtendedExchangeMatrix,
 
     Sides that are equal in the group act equally only up to a relabeling
     of mutable vertices, so defined results are compared modulo a row
-    permutation.
+    permutation.  A state whose c-rows repeat is ambiguous rather than
+    undefined, and raises ``ValueError``.
     """
+    if len(set(m.c)) != m.n:
+        raise ValueError("ambiguous: duplicate c-rows")
     results = []
     for side in (rel.lhs, rel.rhs):
         try:
@@ -177,6 +180,6 @@ def relation_holds_on(m: ExtendedExchangeMatrix,
         return RelationVerdict.BOTH_UNDEFINED
     if left is None or right is None:
         return RelationVerdict.ONE_UNDEFINED
-    if left == right or find_row_permutation(left, right) is not None:
+    if find_row_permutation(left, right) is not None:
         return RelationVerdict.AGREE_TRUE
     return RelationVerdict.DISAGREE

@@ -279,12 +279,10 @@ def state_to_dot(m: ExtendedExchangeMatrix) -> str:
     for i in range(m.n):
         for j in range(m.n):
             x = m.c[i][j]
-            if x > 0:
-                for _ in range(x):
-                    lines.append(f'  "{i + 1}" -> "{j + 1}\'";')
-            elif x < 0:
-                for _ in range(-x):
-                    lines.append(f'  "{j + 1}\'" -> "{i + 1}";')
+            src, dst = ((i + 1, f"{j + 1}'") if x > 0
+                        else (f"{j + 1}'", i + 1))
+            for _ in range(abs(x)):
+                lines.append(f'  "{src}" -> "{dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -132,10 +132,9 @@ def subroots(b: Root) -> Iterator[Root]:
 def in_wall(x: Sequence, b: Root) -> bool:
     """Membership of ``x`` in the wall of ``b``: pairs to zero with ``b``
     and nonpositively with every subroot.  Exact arithmetic only; entries
-    may be ints or Fractions."""
+    may be ints or Fractions.  A root beyond ``len(x)`` raises
+    ``ValueError`` in ``root_to_vector``."""
     n = len(x)
-    if b.j > n:
-        raise ValueError(f"root {b} out of range for dimension {n}")
     if euler_pairing(x, root_to_vector(b, n)) != 0:
         return False
     return all(euler_pairing(x, root_to_vector(s, n)) <= 0 for s in subroots(b))
@@ -147,7 +146,6 @@ def in_wall(x: Sequence, b: Root) -> bool:
 class CMatrixViolation:
     kind: str
     rows: tuple[int, ...]
-    detail: str
 
 
 def validate_c_matrix(c: IntMatrix) -> tuple[CMatrixViolation, ...]:
@@ -166,8 +164,7 @@ def validate_c_matrix(c: IntMatrix) -> tuple[CMatrixViolation, ...]:
         g = vector_to_signed_root(row)
         parsed.append(g)
         if g is None:
-            violations.append(CMatrixViolation(
-                "not_signed_root", (idx,), f"row {idx} = {row}"))
+            violations.append(CMatrixViolation("not_signed_root", (idx,)))
     for s in range(n):
         for t in range(n):
             if s == t:
@@ -178,12 +175,10 @@ def validate_c_matrix(c: IntMatrix) -> tuple[CMatrixViolation, ...]:
             if a.delta == b.delta:
                 if s < t and (hom(a.root, b.root) or hom(b.root, a.root)):
                     violations.append(CMatrixViolation(
-                        "same_sign_not_hom_orthogonal", (s + 1, t + 1),
-                        f"rows {a} and {b}"))
+                        "same_sign_not_hom_orthogonal", (s + 1, t + 1)))
             elif a.delta > 0:
                 # pair (alpha, -beta): require hom(alpha,beta) = ext(alpha,beta) = 0
                 if hom(a.root, b.root) or ext(a.root, b.root):
                     violations.append(CMatrixViolation(
-                        "opposite_sign_not_orthogonal", (s + 1, t + 1),
-                        f"rows {a} and {b}"))
+                        "opposite_sign_not_orthogonal", (s + 1, t + 1)))
     return tuple(violations)

@@ -21,8 +21,8 @@ from .formula import TrackedState
 from .perm import Permutation
 from .picture import PictureWord
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
-                     find_row_permutation, framed, mutate, reconstructed_b,
-                     vertex_color)
+                     apply_sequence, find_row_permutation, framed, mutate,
+                     reconstructed_b, vertex_color)
 
 MAX_N = 5
 """Largest rank the exhaustive traversals accept.  At n = 5 the exchange
@@ -177,11 +177,10 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     prefixes first.
 
     Each expanded state's successors ``(k, neighbor, rho or None)`` are
-    memoized for the call, so mutation and the loop test run once per
-    distinct state within ``max_len - 1`` steps of ``m``, not once per
-    prefix.
+    memoized for the call, so mutation and the loop test
+    ``find_row_permutation`` run once per distinct state within
+    ``max_len - 1`` steps of ``m``, not once per prefix.
     """
-    base_rows = frozenset(m.c)
     out: list[LoopResult] = []
     seq: list[int] = []
 
@@ -195,9 +194,7 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
             succ = memo[state] = []
             for k in range(1, m.n + 1):
                 neighbor = mutate(state, k)
-                rho = (find_row_permutation(m, neighbor)
-                       if frozenset(neighbor.c) == base_rows else None)
-                succ.append((k, neighbor, rho))
+                succ.append((k, neighbor, find_row_permutation(m, neighbor)))
         for k, neighbor, rho in succ:
             seq.append(k)
             if rho is not None:
@@ -215,11 +212,7 @@ def count_loops_by_replay(m: ExtendedExchangeMatrix, max_len: int) -> int:
     total = 0
     for length in range(1, max_len + 1):
         for seq in product(range(1, m.n + 1), repeat=length):
-            state = m
-            for k in seq:
-                state = mutate(state, k)
-            if frozenset(state.c) == frozenset(m.c) \
-                    and find_row_permutation(m, state) is not None:
+            if find_row_permutation(m, apply_sequence(m, seq)) is not None:
                 total += 1
     return total
 

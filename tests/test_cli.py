@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -138,6 +139,24 @@ def test_verify_json(capsys):
     assert [line["vertices"] for line in lines] == [[1, 2], [2, 1, 2]]
     assert all(line["verdict"] == "match" for line in lines)
     assert lines[1]["formula"] == "(12)"
+
+
+def test_verify_observes_every_checked_sequence(capsys):
+    # every maximal green sequence and every enumerated loop has an
+    # observation, so no line reports a verdict without one
+    code, out, err = run(capsys, "verify", "--n", "3", "--max-depth", "4")
+    assert code == 0
+    *lines, summary = out.splitlines()
+    assert summary == f"{len(lines)} sequences checked, 0 mismatches"
+    assert [line for line in lines
+            if not re.search(r": match \(formula \S+, observed \S+\)$",
+                             line)] == []
+    code, out, err = run(capsys, "verify", "--n", "3", "--format", "json",
+                         "--max-depth", "4")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == len(lines)
+    assert [r for r in reports if r["observed"] is None] == []
 
 
 def test_census_text(capsys):

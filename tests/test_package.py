@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import types
 from pathlib import Path
 
@@ -46,3 +47,21 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(path.parent.parent)}: {name}"
                    for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # a traced name that no longer exists silently drops its per-layer
+    # metrics from the benchmark's traced runs
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for _, owner, attr in tracing.TARGETS:
+        module_name, _, class_name = owner.partition(":")
+        holder = importlib.import_module(module_name)
+        if class_name:
+            holder = getattr(holder, class_name, None)
+        if holder is None or attr not in vars(holder):
+            missing.append(f"{owner}.{attr}")
+    assert missing == []

@@ -187,6 +187,14 @@ def test_relation_one_undefined_on_artificial_state():
     assert relation_holds_on(state, rel) is RelationVerdict.ONE_UNDEFINED
 
 
+def test_relation_holds_on_rejects_repeated_rows():
+    # with two rows +b01 both sides are ambiguous, not undefined
+    state = ExtendedExchangeMatrix(A2.b, ((1, 0), (1, 0)))
+    for rel in relations(2):
+        with pytest.raises(ValueError, match="ambiguous: duplicate c-rows"):
+            relation_holds_on(state, rel)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_relations_never_disagree_on_reachable_states(n):
     rels = relations(n)
