@@ -3,9 +3,10 @@
 Each mutation step reads the signed root on the mutated row and contributes
 the transposition (i+1 j); conjugating the product by the permutation part
 of the starting c-matrix predicts how the endpoint is relabeled.  The
-prediction is checked against observations that do not use the formula:
-the row permutation from the coframe (reddening sequences) or from the
-start (loops).
+prediction is checked against an observation that does not use the
+formula: the permutation part of the endpoint's c-matrix, factored from
+scratch, relative to the start's.  For a reddening sequence that is the
+row permutation from the coframe, for a loop the one from the start.
 """
 
 from quiverperm import (ExchangeMatrix, TrackedState, framed, transposition_of,
@@ -30,10 +31,9 @@ print()
 print("verify compares the formula with an observation:")
 for s in [(1, 2), (2, 1, 2), (2, 2), (2, 1, 2, 1, 2), (2,)]:
     report = verify(m, s)
-    observed = ("-" if report.observed_perm is None
-                else report.observed_perm.cycle_string())
     print(f"  {str(s):<18} formula {report.formula_perm.cycle_string():<5}"
-          f" observed {observed:<5} {report.verdict.value}")
+          f" observed {report.observed_perm.cycle_string():<5}"
+          f" {report.verdict.value}")
 print()
 
 print("the pentagon loop returns to the start with rows 1 and 2 swapped:")

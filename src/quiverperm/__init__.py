@@ -14,7 +14,7 @@ from .picture import (PictureWord, Relation, RelationVerdict, act, act_word,
                       word_from_sequence)
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                      apply_sequence, coframed, find_row_permutation,
-                     format_state, framed, is_all_red, is_framed, mutate,
+                     format_state, framed, is_all_red, mutate,
                      permute_rows, reconstructed_b, state_to_dot,
                      state_to_json, vertex_color)
 from .roots import (CMatrixViolation, Root, SignedGenerator, all_roots,
@@ -41,8 +41,8 @@ __all__ = [
     "count_reachable_states", "coxeter", "enumerate_loops", "enumerate_mgs",
     "euler_matrix", "euler_pairing", "ext", "factor_standard",
     "find_row_permutation", "format_state", "formula_permutation", "framed",
-    "graph_to_dot", "hom", "in_wall", "is_all_red", "is_framed",
-    "is_standard", "mgs_census", "mutate", "permute_rows", "reconstructed_b",
+    "graph_to_dot", "hom", "in_wall", "is_all_red", "is_standard",
+    "mgs_census", "mutate", "permute_rows", "reconstructed_b",
     "relation_holds_on", "relations", "root_to_vector", "state_to_dot",
     "state_to_json", "subroots", "transposition_of", "validate_c_matrix",
     "vector_to_signed_root", "verify", "vertex_color", "word_from_sequence",

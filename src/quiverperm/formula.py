@@ -11,24 +11,24 @@ A ``TrackedState`` follows sigma step by step, sigma <- sigma o (i+1 j),
 because each such step keeps the c-matrix standard; after a sequence it
 holds sigma o t_1 o ... o t_N.  ``verify`` walks each sequence once and
 takes its prediction from that walk; ``formula_permutation`` is the closed
-form above, the reference the tracked prediction is tested against.  The
-prediction is compared with an independent observation: the row
-permutation relating the endpoint to the coframe (reddening sequences) or
-to the start (loop sequences).  The observation is read off the endpoint
-alone, never from the tracked sigma.  Arbitrary sequences carry a
-predicted value but nothing to compare it with.
+form above, the reference the tracked prediction is tested against.  Every
+sequence is compared with one independent observation: the permutation
+part of the endpoint's c-matrix, refactored from scratch, times the
+inverse of the start's.  On a loop this is the row permutation from the
+start to the endpoint, and on a reddening sequence from the framed start
+the row permutation from the coframe.  The observation is read off the
+endpoint alone, never from the tracked sigma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .perm import Permutation
 from .picture import PictureWord, step, transposition_of
-from .quiver import (ExchangeMatrix, ExtendedExchangeMatrix, coframed,
-                     find_row_permutation, is_all_red, is_framed)
+from .quiver import ExtendedExchangeMatrix
 from .roots import SignedGenerator
 from .standard import factor_standard
 
@@ -75,7 +75,6 @@ class TrackedState:
 class Verdict(Enum):
     MATCH = "match"
     MISMATCH = "mismatch"
-    NOT_APPLICABLE = "not_applicable"
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ class FormulaReport:
     word: PictureWord
     sigma: Permutation
     formula_perm: Permutation
-    observed_perm: Optional[Permutation]
+    observed_perm: Permutation
     verdict: Verdict
 
     def to_json(self) -> dict:
@@ -91,27 +90,23 @@ class FormulaReport:
             "word": self.word.to_json(),
             "sigma": self.sigma.cycle_string(),
             "formula": self.formula_perm.cycle_string(),
-            "observed": (None if self.observed_perm is None
-                         else self.observed_perm.cycle_string()),
+            "observed": self.observed_perm.cycle_string(),
             "verdict": self.verdict.value,
         }
 
 
 def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
            corrupt: bool = False) -> FormulaReport:
-    """Predict the permutation of one sequence and compare where possible.
+    """Predict the permutation of one sequence and compare it.
 
     The sequence is walked once, by ``TrackedState.run``; the prediction is
     the tracked sigma at the end times the inverse of the one at the start,
     which is ``formula_permutation`` of the word the walk spells.  The
-    observation is independent of the prediction: it is read off the
-    endpoint alone, never from the tracked sigma.  For a reddening sequence
-    it is the row permutation from the coframe to the endpoint, for a loop
-    the row permutation from the start.  A sequence that is neither has
-    nothing to compare against and reports NotApplicable.  Raises
-    ``ValueError`` when the starting c-matrix does not factor, or when the
-    all-red endpoint of a framed start is not a row permutation of the
-    coframe.
+    observation is independent of the prediction: the endpoint's c-matrix
+    is factored from scratch with ``factor_standard``, and its permutation
+    part times the inverse of the start's is compared, never the tracked
+    sigma.  Raises ``ValueError`` when the starting or the ending c-matrix
+    does not factor through a standard matrix.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
@@ -122,16 +117,6 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     predicted = end.sigma * start.sigma.inverse()
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
-    if is_framed(m) and is_all_red(end.state):
-        observed = find_row_permutation(coframed(ExchangeMatrix(m.b)),
-                                        end.state)
-        if observed is None:
-            raise ValueError(
-                "all-red endpoint is not a row permutation of the coframe")
-    else:
-        observed = find_row_permutation(m, end.state)
-    if observed is None:
-        verdict = Verdict.NOT_APPLICABLE
-    else:
-        verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
+    observed = TrackedState.from_state(end.state).sigma * start.sigma.inverse()
+    verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
     return FormulaReport(word, start.sigma, predicted, observed, verdict)

@@ -101,18 +101,11 @@ def _trusted_state(b: IntMatrix, c: IntMatrix) -> ExtendedExchangeMatrix:
     return m
 
 
-def _identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def framed(b0: ExchangeMatrix) -> ExtendedExchangeMatrix:
     """[B0 | I]: one frozen vertex i' with an arrow i -> i' per vertex."""
-    return ExtendedExchangeMatrix(b0.b, _identity(b0.n))
-
-
-def is_framed(m: ExtendedExchangeMatrix) -> bool:
-    """Whether ``m`` is [B | I], the framing of its own b-part."""
-    return m.c == _identity(m.n)
+    n = b0.n
+    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return ExtendedExchangeMatrix(b0.b, ident)
 
 
 def coframed(b0: ExchangeMatrix) -> ExtendedExchangeMatrix:

@@ -54,10 +54,13 @@ class StandardFactorization:
 def factor_standard(c: IntMatrix) -> Optional[StandardFactorization]:
     """Factor ``c`` as a row permutation of a standard matrix.
 
-    Returns ``None`` when some row is not a signed root or two rows claim
-    the same canonical position.  When a factorization exists it is unique.
+    Returns ``None`` when ``c`` is not square, some row is not a signed
+    root or two rows claim the same canonical position.  When a
+    factorization exists it is unique.
     """
     n = len(c)
+    if any(len(row) != n for row in c):
+        return None
     targets = []
     for row in c:
         g = vector_to_signed_root(row)

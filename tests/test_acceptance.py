@@ -95,6 +95,7 @@ def test_criterion_02_formula_on_every_mgs(capsys):
                 report = verify(m, r.sequence)
                 assert report.verdict is Verdict.MATCH
                 assert report.formula_perm == observed
+                assert report.observed_perm == observed
 
     criterion(capsys, 2, "formula equals the observed reddening permutation "
                          "on every maximal green sequence, n = 2..4", body)

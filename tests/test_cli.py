@@ -1,5 +1,8 @@
+import ast
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +310,19 @@ def test_bad_flags(capsys):
 def test_unknown_command_exits_with_usage():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_verify_output_matches_benchmark_digest(tmp_path):
+    # the benchmark's mgs-verify workload fails on any change to what
+    # verify writes; pin the same digest here so the fast suite sees it
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    frozen = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("MGS_N", "DIGESTS")}
+    target = tmp_path / "verify.txt"
+    assert main(["verify", "--n", str(frozen["MGS_N"]),
+                 "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() \
+        == frozen["DIGESTS"]["verify"]

@@ -196,7 +196,6 @@ def test_observed_reddening_permutation():
         assert is_all_red(end)
         assert find_row_permutation(coframe, end) == rho
         assert verify(m, seq).observed_perm == rho
-    assert verify(m, (1,)).observed_perm is None
 
 
 def test_verify_reddening_sequences():
@@ -243,7 +242,8 @@ def test_verify_one_walk_matches_standalone_pieces():
 @given(st.integers(1, 5), st.data())
 def test_verify_prediction_equals_closed_form(n, data):
     # the prediction verify reads off its walk equals the closed form on the
-    # word, from any reachable start and for any sequence, whatever the verdict
+    # word, from any reachable start and for any sequence, and matches the
+    # observation
     vertices = st.lists(st.integers(1, n), max_size=12)
     m = apply_sequence(framed(ExchangeMatrix.straight_a(n)),
                        data.draw(vertices))
@@ -253,6 +253,7 @@ def test_verify_prediction_equals_closed_form(n, data):
     assert report.word == word
     assert report.formula_perm == formula_permutation(
         word, factor_standard(m.c).rho)
+    assert report.verdict is Verdict.MATCH
 
 
 def test_verify_loop_from_unframed_start():
@@ -263,10 +264,11 @@ def test_verify_loop_from_unframed_start():
     assert report.word.display == "x01 x01^-1"
 
 
-def test_verify_not_applicable():
+def test_verify_arbitrary_sequence():
+    # neither a loop nor reddening, and still compared
     report = verify(framed(A2), (2,))
-    assert report.verdict is Verdict.NOT_APPLICABLE
-    assert report.observed_perm is None
+    assert report.verdict is Verdict.MATCH
+    assert report.observed_perm.is_identity()
     assert report.formula_perm.is_identity()
 
 
@@ -276,12 +278,24 @@ def test_verify_unfactorable_start():
         verify(bad, ())
 
 
-def test_verify_rejects_an_endpoint_off_the_coframe(monkeypatch):
-    # negative control: measured against the frame instead of the coframe,
-    # the all-red endpoint of (2, 1, 2) matches no row permutation
-    monkeypatch.setattr(quiverperm.formula, "coframed", framed)
-    with pytest.raises(ValueError, match="coframe"):
-        verify(framed(A2), (2, 1, 2))
+def test_verify_rejects_an_unfactorable_endpoint():
+    # negative control: mutating the framed double arrow at 2 gives the
+    # c-row (1, 2), which is not a root, so there is nothing to observe
+    m = framed(ExchangeMatrix(((0, 2), (-2, 0))))
+    with pytest.raises(ValueError, match="does not factor"):
+        verify(m, (2,))
+
+
+def test_verify_observation_ignores_the_transpositions(monkeypatch):
+    # negative control: with x02's transposition dropped the prediction
+    # for (2, 1, 2) is the identity, while the endpoint still shows (12)
+    real = quiverperm.formula.transposition_of
+    monkeypatch.setattr(
+        quiverperm.formula, "transposition_of",
+        lambda g, n: Permutation.identity(n) if g == X02 else real(g, n))
+    report = verify(framed(A2), (2, 1, 2))
+    assert report.verdict is Verdict.MISMATCH
+    assert report.observed_perm == Permutation.transposition(2, 1, 2)
 
 
 def test_verify_corrupt_negative_control():
@@ -292,12 +306,12 @@ def test_verify_corrupt_negative_control():
 
 
 def test_verify_exhaustive_small():
-    # every comparable sequence matches; the corrupted prediction never does
+    # every sequence matches; the corrupted prediction never does
     m = framed(A2)
     for length in range(0, 8):
         for seq in itertools.product((1, 2), repeat=length):
-            assert verify(m, seq).verdict is not Verdict.MISMATCH
-            assert verify(m, seq, corrupt=True).verdict is not Verdict.MATCH
+            assert verify(m, seq).verdict is Verdict.MATCH
+            assert verify(m, seq, corrupt=True).verdict is Verdict.MISMATCH
 
 
 def test_report_json():
@@ -307,6 +321,6 @@ def test_report_json():
     assert data["formula"] == "(12)"
     assert data["observed"] == "(12)"
     assert data["word"]["display"] == "x01 x02 x12"
-    na = verify(framed(A2), (2,)).to_json()
-    assert na["observed"] is None
-    assert na["verdict"] == "not_applicable"
+    single = verify(framed(A2), (2,)).to_json()
+    assert single["observed"] == "id"
+    assert single["verdict"] == "match"

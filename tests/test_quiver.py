@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         Permutation, apply_sequence, coframed,
                         find_row_permutation, format_state, framed,
-                        is_all_red, is_framed, mutate, permute_rows,
+                        is_all_red, mutate, permute_rows,
                         reconstructed_b, state_to_dot, state_to_json,
                         vertex_color)
 from quiverperm.quiver import matrix_from_json
@@ -162,17 +162,6 @@ def test_mutate_rejects_a_zero_c_vector():
     m = ExtendedExchangeMatrix(((0, 1), (-1, 0)), ((-1, 0), (1, 0)))
     with pytest.raises(ValueError, match="every c-vector must be nonzero"):
         mutate(m, 2)
-
-
-def test_is_framed():
-    for b0 in (A1, A2, A3, ExchangeMatrix(((0, 2), (-2, 0)))):
-        assert is_framed(framed(b0))
-        assert not is_framed(coframed(b0))
-    swap = Permutation.transposition(2, 1, 2)
-    assert not is_framed(permute_rows(framed(A2), swap))
-    # the b-part always matches, so comparing c with I is the whole test
-    for m in reachable(3, 4):
-        assert is_framed(m) == (m == framed(ExchangeMatrix(m.b)))
 
 
 def test_is_all_red():

@@ -73,6 +73,8 @@ def test_factor_standard_failures():
     assert factor_standard(((1, 0), (1, 1))) is None
     # row that is not a signed root
     assert factor_standard(((1, -1), (0, 1))) is None
+    # rows of signed roots, but not square
+    assert factor_standard(((1, 1, 0), (0, 1, 1))) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
