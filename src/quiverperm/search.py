@@ -127,7 +127,8 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
     # the results are passed in, not closed over: a recursive closure is a
     # reference cycle, which would keep them alive until the next collection
     def dfs(ts: TrackedState, sink: list[MGSResult]):
-        greens = _green_vertices(ts.state)
+        # the node's green rows, moved to their vertices by sigma
+        greens = sorted(ts.sigma.images[p - 1] for p in ts.node.greens)
         if not greens:
             sink.append(MGSResult(tuple(seq), PictureWord(ts.factors),
                                   ts.sigma))

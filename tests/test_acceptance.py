@@ -228,14 +228,15 @@ def test_criterion_09_reddening_endpoints_standardize_to_minus_identity(capsys):
     def body():
         for n in (1, 2, 3, 4):
             minus_i = coframed(ExchangeMatrix.straight_a(n)).c
-            start = TrackedState.from_state(
-                framed(ExchangeMatrix.straight_a(n)))
+            m = framed(ExchangeMatrix.straight_a(n))
+            start = TrackedState.from_state(m)
             for r in enumerate_mgs(n):
-                tracked = start.run(r.sequence)
-                assert is_all_red(tracked.state)
-                fact = factor_standard(tracked.state.c)
+                end = apply_sequence(m, r.sequence)
+                assert is_all_red(end)
+                fact = factor_standard(end.c)
                 assert fact.m == minus_i
-                assert fact.rho == tracked.sigma == r.permutation
+                assert fact.rho == start.run(r.sequence).sigma \
+                    == r.permutation
         # non-green reddening sequences behave the same way
         for n in (2, 3):
             m = framed(ExchangeMatrix.straight_a(n))

@@ -91,12 +91,13 @@ EDGE_CHECK_RANKS = [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)]
 def first_edge_failure(n):
     """The first edge (c-matrix, vertex) of ``build_exchange_graph(n)``,
     nodes in insertion order and vertices ascending, where one tracked
-    step breaks sigma == factor_standard(c).rho; ``None`` if none does."""
+    step's sigma differs from factor_standard(c).rho of the plainly
+    mutated state; ``None`` if none does."""
     for c, state in build_exchange_graph(n).nodes.items():
-        ts = TrackedState(state, factor_standard(c).rho)
+        ts = TrackedState.from_state(state)
         for k in range(1, n + 1):
-            stepped = ts.step_vertex(k)
-            if stepped.sigma != factor_standard(stepped.state.c).rho:
+            if ts.step_vertex(k).sigma != factor_standard(
+                    mutate(state, k).c).rho:
                 return c, k
     return None
 
@@ -138,27 +139,40 @@ def test_all_red_nodes_are_row_permutations_of_the_coframe(n):
         assert factor_standard(c).m == minus_i
 
 
-def test_edge_check_names_the_broken_edge(monkeypatch):
-    # dropping one generator's transposition must fail at its first edge
-    g0 = SignedGenerator(Root(0, 2))
-    real = quiverperm.formula.transposition_of
+def drop_transposition(monkeypatch, root):
+    """Make the quotient graph's edges of ``root``, either sign, carry the
+    identity instead of its transposition.  The memo is swapped for an
+    empty one, so edges filled by earlier tests are refilled with
+    the broken formula."""
+    real = quiverperm.standard.transposition_of
     monkeypatch.setattr(
-        quiverperm.formula, "transposition_of",
-        lambda g, n: Permutation.identity(n) if g == g0 else real(g, n))
+        quiverperm.standard, "transposition_of",
+        lambda g, n: Permutation.identity(n) if g.root == root
+        else real(g, n))
+    monkeypatch.setattr(quiverperm.standard, "_QUOTIENT", {})
+
+
+def test_edge_check_names_the_broken_edge(monkeypatch):
+    # dropping one root's transposition must fail at its first edge
     n = 3
-    first_g0_edge = next(
+    assert first_edge_failure(n) is None  # the memo is warm from here on
+    drop_transposition(monkeypatch, X02.root)
+    first_x02_edge = next(
         (c, k) for c, state in build_exchange_graph(n).nodes.items()
         for k in range(1, n + 1)
-        if word_from_sequence(state, (k,)).factors == (g0,))
-    assert first_edge_failure(n) == first_g0_edge
+        if word_from_sequence(state, (k,)).factors[0].root == X02.root)
+    assert first_edge_failure(n) == first_x02_edge
 
 
 def test_tracking_matches_refactoring_along_paths():
-    start = TrackedState.from_state(framed(A2))
+    m = framed(A2)
+    start = TrackedState.from_state(m)
     for length in range(0, 11):
         for seq in itertools.product((1, 2), repeat=length):
             ts = start.run(seq)
-            assert ts.sigma == factor_standard(ts.state.c).rho
+            end = apply_sequence(m, seq)
+            assert ts.sigma == factor_standard(end.c).rho
+            assert ts.state == end
 
 
 def test_is_reddening():
@@ -286,13 +300,19 @@ def test_verify_rejects_an_unfactorable_endpoint():
         verify(m, (2,))
 
 
+def test_verify_rejects_a_walk_through_an_unfactorable_state():
+    # the prediction walks the quotient graph, which has no node for the
+    # state after vertex 2, even though (2, 2) returns to the start
+    m = framed(ExchangeMatrix(((0, 2), (-2, 0))))
+    with pytest.raises(ValueError, match="does not factor"):
+        verify(m, (2, 2))
+
+
 def test_verify_observation_ignores_the_transpositions(monkeypatch):
     # negative control: with x02's transposition dropped the prediction
     # for (2, 1, 2) is the identity, while the endpoint still shows (12)
-    real = quiverperm.formula.transposition_of
-    monkeypatch.setattr(
-        quiverperm.formula, "transposition_of",
-        lambda g, n: Permutation.identity(n) if g == X02 else real(g, n))
+    assert verify(framed(A2), (2, 1, 2)).verdict is Verdict.MATCH
+    drop_transposition(monkeypatch, X02.root)
     report = verify(framed(A2), (2, 1, 2))
     assert report.verdict is Verdict.MISMATCH
     assert report.observed_perm == Permutation.transposition(2, 1, 2)

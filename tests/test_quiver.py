@@ -194,6 +194,30 @@ def test_permutation_equivariance_of_mutation():
                         == permute_rows(mutate(m, k), rho))
 
 
+@st.composite
+def skew_symmetric(draw, max_n=5, bound=3):
+    n = draw(st.integers(1, max_n))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-bound, bound))
+            rows[j][i] = -rows[i][j]
+    return ExchangeMatrix(tuple(tuple(row) for row in rows))
+
+
+@given(skew_symmetric(), st.data())
+def test_permutation_equivariance_of_mutation_any_exchange_matrix(b0, data):
+    # the same identity for exchange matrices of any type, from a state a
+    # few mutations away from the framed one
+    n = b0.n
+    m = apply_sequence(framed(b0), data.draw(
+        st.lists(st.integers(1, n), max_size=4)))
+    rho = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    k = data.draw(st.integers(1, n))
+    assert (mutate(permute_rows(m, rho), rho(k))
+            == permute_rows(mutate(m, k), rho))
+
+
 def test_find_row_permutation():
     m = framed(A2)
     assert find_row_permutation(m, m) == Permutation.identity(2)

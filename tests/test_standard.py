@@ -7,6 +7,7 @@ from quiverperm import (ExchangeMatrix, Permutation, Root, SignedGenerator,
                         apply_sequence, canonical_row, check_preservation,
                         factor_standard, framed, is_standard, mutate,
                         vector_to_signed_root)
+from quiverperm.standard import signed_root_table
 
 A2 = ExchangeMatrix.straight_a(2)
 
@@ -68,22 +69,65 @@ def test_factor_standard_permuted():
     assert fact.rho.apply_to_rows(fact.m) == ((0, -1), (-1, 0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_signed_root_table_matches_the_parser(n):
+    # every vector with entries in {-1, 0, 1}: the table knows exactly the
+    # signed roots, with the generator the parser reads
+    table = signed_root_table(n)
+    hits = 0
+    for v in itertools.product((-1, 0, 1), repeat=n):
+        g = vector_to_signed_root(v)
+        assert table.get(v) == (None if g is None else (g, canonical_row(g)))
+        hits += g is not None
+    assert hits == len(table) == n * (n + 1)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+def test_signed_root_table_matches_the_parser_sampled(v):
+    v = tuple(v)
+    hit = signed_root_table(len(v)).get(v)
+    assert (None if hit is None else hit[0]) == vector_to_signed_root(v)
+
+
+def factor_standard_by_scan(c):
+    """Reference factorization: parse every row with
+    ``vector_to_signed_root`` and place it at its canonical row."""
+    n = len(c)
+    if any(len(row) != n for row in c):
+        return None
+    targets = []
+    for row in c:
+        g = vector_to_signed_root(row)
+        if g is None:
+            return None
+        targets.append(canonical_row(g))
+    if sorted(targets) != list(range(1, n + 1)):
+        return None
+    placement = Permutation(tuple(targets))
+    return placement.inverse(), placement.apply_to_rows(c)
+
+
 def test_factor_standard_failures():
-    # +b01 and +b02 both claim row 1
-    assert factor_standard(((1, 0), (1, 1))) is None
-    # row that is not a signed root
-    assert factor_standard(((1, -1), (0, 1))) is None
-    # rows of signed roots, but not square
-    assert factor_standard(((1, 1, 0), (0, 1, 1))) is None
+    for c in [
+        ((1, 0), (1, 1)),                    # +b01 and +b02 both claim row 1
+        ((0, -1), (-1, -1)),                 # -b12 and -b02 both claim row 2
+        ((1, -1), (0, 1)),                   # a row that is not a signed root
+        ((2, 0), (0, 1)),                    # entries beyond +-1
+        ((1, 0, 1), (0, 1, 0), (0, 0, 1)),   # a row with a gap
+        ((1, 1, 0), (0, 1, 1)),              # signed roots, but not square
+    ]:
+        assert factor_standard(c) is None
+        assert factor_standard_by_scan(c) is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factor_standard_round_trip_on_reachable(n):
     for c in reachable_c(n):
         fact = factor_standard(c)
         assert fact is not None
         assert is_standard(fact.m)
         assert fact.rho.apply_to_rows(fact.m) == c
+        assert (fact.rho, fact.m) == factor_standard_by_scan(c)
 
 
 def test_factorization_is_unique_exhaustively():
