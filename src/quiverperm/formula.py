@@ -9,17 +9,17 @@ relabeling of mutable vertices is
 
 A ``TrackedState`` follows sigma step by step, sigma <- sigma o (i+1 j),
 because each such step keeps the c-matrix standard; after a sequence it
-holds sigma o t_1 o ... o t_N.  It walks the standard quotient graph Q of
-``quiverperm.standard``, so a step is a table lookup and a product of
-sigma with a transposition.  ``verify`` walks each sequence once on Q and takes its
-prediction from that walk; ``formula_permutation`` is the closed form
-above, the reference the tracked prediction is tested against.  Every
-sequence is compared with one independent observation: the sequence
-replayed with plain ``mutate``, the permutation part of the endpoint's
-c-matrix refactored from scratch, times the inverse of the start's.  On a
-loop this is the row permutation from the start to the endpoint, and on a
-reddening sequence from the framed start the row permutation from the
-coframe.  The observation never reads Q or the tracked sigma.
+holds sigma o t_1 o ... o t_N.  ``verify`` walks each sequence once and
+takes its prediction from that walk; ``formula_permutation`` is the closed
+form above, the reference the tracked prediction is tested against.  The
+walk's states come from plain ``mutate``, so the formula decides only the
+tracked sigma, never which state comes next.  Every sequence is compared
+with one independent observation: the permutation part of the endpoint's
+c-matrix, refactored from scratch, times the inverse of the start's.  On
+a loop this is the row permutation from the start to the endpoint, and on
+a reddening sequence from the framed start the row permutation from the
+coframe.  The observation is read off the endpoint alone, never from the
+tracked sigma.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from enum import Enum
 from typing import Sequence
 
 from .perm import Permutation
-from .picture import PictureWord, transposition_of
-from .quiver import ExtendedExchangeMatrix, apply_sequence, permute_rows
+from .picture import PictureWord, step, transposition_of
+from .quiver import ExtendedExchangeMatrix
 from .roots import SignedGenerator
-from .standard import QuotientNode, factor_standard, standardize
+from .standard import factor_standard
 
 
 def formula_permutation(w: PictureWord, sigma: Permutation) -> Permutation:
@@ -44,42 +44,34 @@ def formula_permutation(w: PictureWord, sigma: Permutation) -> Permutation:
 
 @dataclass(frozen=True)
 class TrackedState:
-    """A state as a node of the standard quotient graph Q and the
-    permutation ``sigma`` that moves the node's rows into place, with the
+    """A state together with the permutation part of its c-matrix and the
     generators applied so far (``factors``, in application order).
 
-    Mutating vertex k mutates the node at row sigma^{-1}(k) and multiplies
-    sigma by the edge's transposition (i+1 j); no matrix is touched once
-    the edge is known.  The state itself is the node's state with its rows
-    moved by sigma.
+    The invariant ``factor_standard(state.c).rho == sigma`` holds after
+    every step; stepping maintains it incrementally instead of refactoring.
     """
 
-    node: QuotientNode
+    state: ExtendedExchangeMatrix
     sigma: Permutation
     factors: tuple[SignedGenerator, ...] = ()
 
     @classmethod
     def from_state(cls, m: ExtendedExchangeMatrix) -> "TrackedState":
-        return cls(*standardize(m))
-
-    @property
-    def state(self) -> ExtendedExchangeMatrix:
-        return permute_rows(self.node.state, self.sigma)
+        fact = factor_standard(m.c)
+        if fact is None:
+            raise ValueError("c-matrix does not factor through a standard matrix")
+        return cls(m, fact.rho)
 
     def step_vertex(self, k: int) -> "TrackedState":
-        return self.run((k,))
+        g, nxt = step(self.state, k)
+        return TrackedState(nxt, self.sigma * transposition_of(g, nxt.n),
+                            self.factors + (g,))
 
     def run(self, seq: Sequence[int]) -> "TrackedState":
-        node, sigma, factors = self.node, self.sigma, list(self.factors)
-        n = sigma.n
+        cur = self
         for k in seq:
-            if not 1 <= k <= n:
-                raise IndexError(f"vertex {k} out of range 1..{n}")
-            edge = node.edge(sigma.images.index(k) + 1)
-            sigma = sigma * edge.transposition
-            factors.append(edge.generator)
-            node = edge.target
-        return TrackedState(node, sigma, tuple(factors))
+            cur = cur.step_vertex(k)
+        return cur
 
 
 class Verdict(Enum):
@@ -109,15 +101,14 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
            corrupt: bool = False) -> FormulaReport:
     """Predict the permutation of one sequence and compare it.
 
-    The prediction walks the sequence on the quotient graph, by
-    ``TrackedState.run``: the tracked sigma at the end times the inverse of
-    the one at the start, which is ``formula_permutation`` of the word the
-    walk spells.  The observation is independent of the prediction: the
-    sequence is replayed with plain ``mutate``, the endpoint's c-matrix is
-    factored from scratch with ``factor_standard``, and its permutation
-    part times the inverse of the start's is compared.  It never reads the
-    quotient graph or the tracked state.  Raises ``ValueError`` when a
-    c-matrix along the walk does not factor through a standard matrix.
+    The sequence is walked once, by ``TrackedState.run``; the prediction is
+    the tracked sigma at the end times the inverse of the one at the start,
+    which is ``formula_permutation`` of the word the walk spells.  The
+    observation is independent of the prediction: the endpoint's c-matrix
+    is factored from scratch with ``factor_standard``, and its permutation
+    part times the inverse of the start's is compared, never the tracked
+    sigma.  Raises ``ValueError`` when the starting or the ending c-matrix
+    does not factor through a standard matrix.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
@@ -129,9 +120,6 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     predicted = end.sigma * back
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
-    fact = factor_standard(apply_sequence(m, seq).c)
-    if fact is None:
-        raise ValueError("c-matrix does not factor through a standard matrix")
-    observed = fact.rho * back
+    observed = TrackedState.from_state(end.state).sigma * back
     verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
     return FormulaReport(word, start.sigma, predicted, observed, verdict)

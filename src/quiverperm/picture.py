@@ -14,6 +14,7 @@ checks therefore compare states up to a row permutation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -67,8 +68,10 @@ def act(m: ExtendedExchangeMatrix,
     return mutate(m, k)
 
 
+@functools.cache
 def transposition_of(g: SignedGenerator, n: int) -> Permutation:
-    """(i+1 j) for the generator of root (i, j); identity for simple roots."""
+    """(i+1 j) for the generator of root (i, j); identity for simple roots.
+    Built once per generator and rank, at most n(n+1) per rank."""
     return Permutation.transposition(n, g.root.i + 1, g.root.j)
 
 

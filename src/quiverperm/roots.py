@@ -63,12 +63,27 @@ def root_to_vector(r: Root, n: int) -> tuple[int, ...]:
     return tuple(1 if r.i < k <= r.j else 0 for k in range(1, n + 1))
 
 
+_SIGNED_ROOTS: dict[tuple[int, ...], SignedGenerator] = {}
+"""Every signed root read so far, keyed by its vector.  Only signed roots
+are kept, so it holds at most n(n+1) vectors of each length n."""
+
+
 def vector_to_signed_root(v: Sequence[int]) -> Optional[SignedGenerator]:
     """Read a vector as a signed root, or ``None`` if it is not one.
 
     Accepts exactly the vectors that are +1 or -1 on a nonempty contiguous
-    block and 0 elsewhere.
+    block and 0 elsewhere.  A vector read before costs one lookup.
     """
+    key = tuple(v)
+    g = _SIGNED_ROOTS.get(key)
+    if g is None:
+        g = _parse_signed_root(key)
+        if g is not None:
+            _SIGNED_ROOTS[key] = g
+    return g
+
+
+def _parse_signed_root(v: tuple[int, ...]) -> Optional[SignedGenerator]:
     support = [k for k, x in enumerate(v) if x != 0]
     if not support:
         return None

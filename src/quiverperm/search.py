@@ -127,8 +127,7 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
     # the results are passed in, not closed over: a recursive closure is a
     # reference cycle, which would keep them alive until the next collection
     def dfs(ts: TrackedState, sink: list[MGSResult]):
-        # the node's green rows, moved to their vertices by sigma
-        greens = sorted(ts.sigma.images[p - 1] for p in ts.node.greens)
+        greens = _green_vertices(ts.state)
         if not greens:
             sink.append(MGSResult(tuple(seq), PictureWord(ts.factors),
                                   ts.sigma))

@@ -1,5 +1,4 @@
-"""Standard matrices: the canonical row order on c-vectors, and the
-standard quotient graph.
+"""Standard matrices: the canonical row order on c-vectors.
 
 A square integer matrix is standard when its diagonal is nonzero, positive
 entries sit on or above the diagonal, negative entries on or below, and
@@ -7,28 +6,17 @@ every row is a signed root.  Those axioms force each signed root into a
 single row: +b_ij into row i+1 and -b_ij into row j.  Consequently any
 matrix whose rows are signed roots factors in at most one way as a row
 permutation of a standard matrix.
-
-Mutating a state with standard c-matrix at the row of x_ij and then
-swapping rows i+1 and j gives a standard c-matrix again.  So every state
-reachable from the framed straight A_n is a standard state S with its rows
-moved by a permutation, and mutation acts on the pair: the quotient graph
-Q has the standard states as nodes (Catalan(n+1) of them) and an edge per
-row.  ``standardize`` returns the node under a state from one
-module-level memo; a node's edges are filled on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 from .perm import Permutation, _trusted
-from .picture import act, step, transposition_of
-from .quiver import (Color, ExtendedExchangeMatrix, IntMatrix, permute_rows,
-                     vertex_color)
-from .roots import (SignedGenerator, all_roots, root_to_vector,
-                    vector_to_signed_root)
+from .picture import act, transposition_of
+from .quiver import ExtendedExchangeMatrix, IntMatrix, permute_rows
+from .roots import SignedGenerator, vector_to_signed_root
 
 
 def is_standard(m: IntMatrix) -> bool:
@@ -63,20 +51,6 @@ class StandardFactorization:
     m: IntMatrix
 
 
-@cache
-def signed_root_table(n: int) -> dict[tuple[int, ...],
-                                      tuple[SignedGenerator, int]]:
-    """Every signed root of rank n as a vector, mapped to its generator and
-    canonical row; built once per n."""
-    table = {}
-    for root in all_roots(n):
-        v = root_to_vector(root, n)
-        for delta in (1, -1):
-            g = SignedGenerator(root, delta)
-            table[tuple(delta * x for x in v)] = (g, canonical_row(g))
-    return table
-
-
 def factor_standard(c: IntMatrix) -> Optional[StandardFactorization]:
     """Factor ``c`` as a row permutation of a standard matrix.
 
@@ -87,13 +61,12 @@ def factor_standard(c: IntMatrix) -> Optional[StandardFactorization]:
     n = len(c)
     if any(len(row) != n for row in c):
         return None
-    table = signed_root_table(n)
     targets = []
     for row in c:
-        hit = table.get(tuple(row))
-        if hit is None:
+        g = vector_to_signed_root(row)
+        if g is None:
             return None
-        targets.append(hit[1])
+        targets.append(canonical_row(g))
     if sorted(targets) != list(range(1, n + 1)):
         return None
     # the check above makes targets a permutation
@@ -113,62 +86,3 @@ def check_preservation(state: ExtendedExchangeMatrix, g) -> bool:
         raise ValueError("state's c-matrix is not standard")
     acted = act(state, g)
     return is_standard(permute_rows(acted, transposition_of(g, state.n)).c)
-
-
-@dataclass(frozen=True)
-class QuotientEdge:
-    """Mutating a node's state at one row: the generator the row spells,
-    its transposition (i+1 j) and the node of the standardized result."""
-
-    generator: SignedGenerator
-    transposition: Permutation
-    target: "QuotientNode"
-
-
-class QuotientNode:
-    """A node of Q: a state with standard c-matrix, the rows that are
-    green, and the edges out of it, one per row, filled on first use.
-    Nodes come from ``standardize`` and compare by identity."""
-
-    __slots__ = ("state", "greens", "_edges")
-
-    def __init__(self, state: ExtendedExchangeMatrix):
-        self.state = state
-        self.greens = tuple(p for p in range(1, state.n + 1)
-                            if vertex_color(state, p) is Color.GREEN)
-        self._edges: list[Optional[QuotientEdge]] = [None] * state.n
-
-    def edge(self, p: int) -> QuotientEdge:
-        """The edge at row ``p``.  Its transposition is the formula's, not
-        the one observed when the edge is filled, so the edge is right only
-        where the formula is.  Raises ``ValueError`` when the mutated
-        c-matrix does not factor through a standard matrix."""
-        e = self._edges[p - 1]
-        if e is None:
-            g, mutated = step(self.state, p)
-            target, _ = standardize(mutated)
-            e = self._edges[p - 1] = QuotientEdge(
-                g, transposition_of(g, self.state.n), target)
-        return e
-
-
-_QUOTIENT: dict[ExtendedExchangeMatrix, QuotientNode] = {}
-
-
-def standardize(m: ExtendedExchangeMatrix) -> tuple[QuotientNode,
-                                                     Permutation]:
-    """The node of Q whose state is ``m`` with its rows moved back into
-    standard order, keyed by that state's b- and c-part, and the
-    permutation rho with ``m == permute_rows(node.state, rho)``.
-
-    Raises ``ValueError`` when ``m``'s c-matrix does not factor through a
-    standard matrix.
-    """
-    fact = factor_standard(m.c)
-    if fact is None:
-        raise ValueError("c-matrix does not factor through a standard matrix")
-    state = permute_rows(m, fact.rho.inverse())
-    node = _QUOTIENT.get(state)
-    if node is None:
-        node = _QUOTIENT[state] = QuotientNode(state)
-    return node, fact.rho

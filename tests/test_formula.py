@@ -139,28 +139,24 @@ def test_all_red_nodes_are_row_permutations_of_the_coframe(n):
         assert factor_standard(c).m == minus_i
 
 
-def drop_transposition(monkeypatch, root):
-    """Make the quotient graph's edges of ``root``, either sign, carry the
-    identity instead of its transposition.  The memo is swapped for an
-    empty one, so edges filled by earlier tests are refilled with
-    the broken formula."""
-    real = quiverperm.standard.transposition_of
+def drop_transposition(monkeypatch, g0):
+    """Make the formula's transposition of the generator ``g0`` alone the
+    identity."""
+    real = quiverperm.formula.transposition_of
     monkeypatch.setattr(
-        quiverperm.standard, "transposition_of",
-        lambda g, n: Permutation.identity(n) if g.root == root
-        else real(g, n))
-    monkeypatch.setattr(quiverperm.standard, "_QUOTIENT", {})
+        quiverperm.formula, "transposition_of",
+        lambda g, n: Permutation.identity(n) if g == g0 else real(g, n))
 
 
 def test_edge_check_names_the_broken_edge(monkeypatch):
-    # dropping one root's transposition must fail at its first edge
+    # dropping one generator's transposition must fail at its first edge
     n = 3
-    assert first_edge_failure(n) is None  # the memo is warm from here on
-    drop_transposition(monkeypatch, X02.root)
+    assert first_edge_failure(n) is None
+    drop_transposition(monkeypatch, X02)
     first_x02_edge = next(
         (c, k) for c, state in build_exchange_graph(n).nodes.items()
         for k in range(1, n + 1)
-        if word_from_sequence(state, (k,)).factors[0].root == X02.root)
+        if word_from_sequence(state, (k,)).factors == (X02,))
     assert first_edge_failure(n) == first_x02_edge
 
 
@@ -300,19 +296,18 @@ def test_verify_rejects_an_unfactorable_endpoint():
         verify(m, (2,))
 
 
-def test_verify_rejects_a_walk_through_an_unfactorable_state():
-    # the prediction walks the quotient graph, which has no node for the
-    # state after vertex 2, even though (2, 2) returns to the start
+def test_verify_walks_through_an_unfactorable_state():
+    # only the start and the endpoint have to factor: after vertex 2 the
+    # c-row (1, 2) is not a root, but (2, 2) returns to the start
     m = framed(ExchangeMatrix(((0, 2), (-2, 0))))
-    with pytest.raises(ValueError, match="does not factor"):
-        verify(m, (2, 2))
+    assert verify(m, (2, 2)).verdict is Verdict.MATCH
 
 
 def test_verify_observation_ignores_the_transpositions(monkeypatch):
     # negative control: with x02's transposition dropped the prediction
     # for (2, 1, 2) is the identity, while the endpoint still shows (12)
     assert verify(framed(A2), (2, 1, 2)).verdict is Verdict.MATCH
-    drop_transposition(monkeypatch, X02.root)
+    drop_transposition(monkeypatch, X02)
     report = verify(framed(A2), (2, 1, 2))
     assert report.verdict is Verdict.MISMATCH
     assert report.observed_perm == Permutation.transposition(2, 1, 2)

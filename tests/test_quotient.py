@@ -1,94 +1,87 @@
-"""The standard quotient graph Q: its edges against plain ``mutate``, and
-counts read off Q by routes that share no traversal with ``search``.
+"""The standard quotient graph Q, built here from plain ``mutate``: its
+edges against the formula's transpositions, and counts read off Q by
+routes that share no traversal with ``search``.
 
 Every reachable state of straight A_n is a standard state S with its rows
-moved by some pi, so the loop and green-sequence counts over the full
-exchange graph reduce to counts over Q's Catalan(n+1) nodes.
+moved by some pi, and mutating it at vertex k mutates S at row
+pi^{-1}(k) (equivariance, ``test_quiver``).  So Q has the Catalan(n+1)
+standard states as nodes and one edge per row, and the loop and
+green-sequence counts over the full exchange graph reduce to counts over
+Q.
 """
 
+import functools
 import math
 
 import pytest
 
-from quiverperm import (ExchangeMatrix, Permutation, Root, SignedGenerator,
-                        TrackedState, count_mgs, enumerate_mgs,
+from quiverperm import (Color, ExchangeMatrix, Permutation, Root,
+                        SignedGenerator, count_mgs, enumerate_mgs,
                         factor_standard, framed, is_standard, mutate,
-                        permute_rows, transposition_of,
-                        vector_to_signed_root)
+                        permute_rows, transposition_of, vector_to_signed_root,
+                        vertex_color)
 
 X02 = SignedGenerator(Root(0, 2))
 
 
-def framed_node(n):
-    return TrackedState.from_state(framed(ExchangeMatrix.straight_a(n))).node
-
-
+@functools.cache
 def quotient(n):
-    """Q's nodes in breadth-first order from the framed straight A_n."""
-    nodes = [framed_node(n)]
+    """Q of straight A_n: its nodes in breadth-first order from the framed
+    state, and for each node one edge (generator, target, rho) per row.
+    The generator is read off the row, the target is the mutated state
+    with its rows moved back into standard order, and rho is the
+    permutation that moves them, both observed on plain ``mutate``."""
+    nodes = [framed(ExchangeMatrix.straight_a(n))]
     seen = set(nodes)
+    edges = {}
     for node in nodes:  # grows while it is walked
+        out = []
         for p in range(1, n + 1):
-            target = node.edge(p).target
+            mutated = mutate(node, p)
+            fact = factor_standard(mutated.c)
+            target = permute_rows(mutated, fact.rho.inverse())
+            out.append((vector_to_signed_root(node.c_row(p)), target,
+                        fact.rho))
             if target not in seen:
                 seen.add(target)
                 nodes.append(target)
-    return nodes
+        edges[node] = tuple(out)
+    return nodes, edges
 
 
 def first_quotient_edge_failure(n, transposition=transposition_of):
-    """The first (node, row) of Q where the plainly mutated state does not
-    factor with rho equal to ``transposition`` of the row's generator, the
-    generator read by ``vector_to_signed_root``; ``None`` if there is
-    none."""
-    for node in quotient(n):
-        for p in range(1, n + 1):
-            g = vector_to_signed_root(node.state.c_row(p))
-            fact = factor_standard(mutate(node.state, p).c)
-            if fact is None or fact.rho != transposition(g, n):
+    """The first (node, row) of Q whose observed rho differs from
+    ``transposition`` of the row's generator; ``None`` if there is none."""
+    nodes, edges = quotient(n)
+    for node in nodes:
+        for p, (g, _, rho) in enumerate(edges[node], start=1):
+            if rho != transposition(g, n):
                 return node, p
     return None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_quotient_nodes_are_the_catalan_standard_states(n):
-    nodes = quotient(n)
+    nodes, _ = quotient(n)
     assert len(nodes) == math.comb(2 * n + 2, n + 1) // (n + 2)
-    assert all(is_standard(node.state.c) for node in nodes)
+    assert all(is_standard(node.c) for node in nodes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_quotient_edges_match_plain_mutation(n):
+def test_quotient_edges_follow_the_transpositions(n):
     # with the equivariance of mutation under relabeling (test_quiver), the
     # edge rule on Q is the formula's edge rule on the full exchange graph
     assert first_quotient_edge_failure(n) is None
-    for node in quotient(n):
-        for p in range(1, n + 1):
-            edge = node.edge(p)
-            g = vector_to_signed_root(node.state.c_row(p))
-            assert edge.generator == g
-            assert edge.transposition == transposition_of(g, n)
-            assert permute_rows(edge.target.state, edge.transposition) \
-                == mutate(node.state, p)
 
 
 def test_quotient_edge_check_negative_control():
     # dropping x02's transposition has to fail at an edge of x02
     def broken(g, n):
-        return Permutation.identity(n) if g.root == X02.root \
+        return Permutation.identity(n) if g == X02 \
             else transposition_of(g, n)
 
     node, p = first_quotient_edge_failure(3, broken)
-    assert vector_to_signed_root(node.state.c_row(p)).root == X02.root
-
-
-def test_tracked_state_is_a_quotient_node_moved_by_sigma():
-    m = mutate(mutate(framed(ExchangeMatrix.straight_a(3)), 2), 1)
-    ts = TrackedState.from_state(m)
-    assert ts.sigma == factor_standard(m.c).rho
-    assert is_standard(ts.node.state.c)
-    assert ts.state == m
-    assert TrackedState.from_state(ts.node.state).node is ts.node
+    assert vector_to_signed_root(node.c_row(p)) == X02
 
 
 def loop_count_by_transfer_matrix(n, max_len):
@@ -96,13 +89,13 @@ def loop_count_by_transfer_matrix(n, max_len):
     states: a state (pi, S) returns to a row permutation of itself exactly
     when its walk returns to the node S, so the count is n! times the sum
     of the traces of A^1 .. A^max_len for Q's adjacency matrix A."""
-    nodes = quotient(n)
+    nodes, edges = quotient(n)
     index = {node: i for i, node in enumerate(nodes)}
     size = len(nodes)
     adjacency = [[0] * size for _ in nodes]
     for i, node in enumerate(nodes):
-        for p in range(1, n + 1):
-            adjacency[i][index[node.edge(p).target]] += 1
+        for _, target, _ in edges[node]:
+            adjacency[i][index[target]] += 1
     power = [[int(i == j) for j in range(size)] for i in range(size)]
     closed = 0
     for _ in range(max_len):
@@ -122,15 +115,18 @@ def mgs_count_by_dp(n):
     """Maximal green sequences from the framed node: a node without green
     rows ends one sequence; otherwise count(S) is the sum of count(S') over
     the targets of its green rows."""
+    nodes, edges = quotient(n)
     memo = {}
 
     def count(node):
         if node not in memo:
-            memo[node] = sum(count(node.edge(p).target)
-                             for p in node.greens) if node.greens else 1
+            greens = [target for p, (_, target, _) in
+                      enumerate(edges[node], start=1)
+                      if vertex_color(node, p) is Color.GREEN]
+            memo[node] = sum(map(count, greens)) if greens else 1
         return memo[node]
 
-    return count(framed_node(n))
+    return count(nodes[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

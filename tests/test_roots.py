@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from quiverperm import (ExchangeMatrix, Root, SignedGenerator, all_roots,
                         euler_matrix, euler_pairing, ext, framed, hom, in_wall,
                         mutate, root_to_vector, subroots, validate_c_matrix,
                         vector_to_signed_root)
+from quiverperm import roots
 
 from rep_oracle import (all_root_pairs, ext_oracle, hom_oracle,
                         is_submodule_oracle)
@@ -55,6 +57,40 @@ def test_vector_round_trip(n, data):
     sign = data.draw(st.sampled_from([1, -1]))
     vec = tuple(sign * x for x in root_to_vector(r, n))
     assert vector_to_signed_root(vec) == SignedGenerator(r, sign)
+
+
+def signed_root_by_listing(v):
+    """Reference reader: compare ``v`` with every signed root of its
+    length, listed by ``all_roots`` and ``root_to_vector``."""
+    n = len(v)
+    for r in all_roots(n):
+        for sign in (1, -1):
+            if tuple(v) == tuple(sign * x for x in root_to_vector(r, n)):
+                return SignedGenerator(r, sign)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_vector_to_signed_root_on_every_small_vector(n):
+    # every vector with entries in {-1, 0, 1}, read twice so the second
+    # read comes from the table of roots already read
+    hits = 0
+    for v in itertools.product((-1, 0, 1), repeat=n):
+        g = signed_root_by_listing(v)
+        assert vector_to_signed_root(v) == g
+        assert vector_to_signed_root(list(v)) == g
+        hits += g is not None
+    assert hits == n * (n + 1)
+    # the table keeps signed roots only
+    assert all(signed_root_by_listing(v) == g
+               for v, g in roots._SIGNED_ROOTS.items())
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+def test_vector_to_signed_root_sampled(v):
+    g = signed_root_by_listing(v)
+    assert vector_to_signed_root(v) == g
+    assert vector_to_signed_root(tuple(v)) == g
 
 
 def test_euler_matrix():

@@ -7,7 +7,6 @@ from quiverperm import (ExchangeMatrix, Permutation, Root, SignedGenerator,
                         apply_sequence, canonical_row, check_preservation,
                         factor_standard, framed, is_standard, mutate,
                         vector_to_signed_root)
-from quiverperm.standard import signed_root_table
 
 A2 = ExchangeMatrix.straight_a(2)
 
@@ -69,42 +68,20 @@ def test_factor_standard_permuted():
     assert fact.rho.apply_to_rows(fact.m) == ((0, -1), (-1, 0))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_signed_root_table_matches_the_parser(n):
-    # every vector with entries in {-1, 0, 1}: the table knows exactly the
-    # signed roots, with the generator the parser reads
-    table = signed_root_table(n)
-    hits = 0
-    for v in itertools.product((-1, 0, 1), repeat=n):
-        g = vector_to_signed_root(v)
-        assert table.get(v) == (None if g is None else (g, canonical_row(g)))
-        hits += g is not None
-    assert hits == len(table) == n * (n + 1)
-
-
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
-def test_signed_root_table_matches_the_parser_sampled(v):
-    v = tuple(v)
-    hit = signed_root_table(len(v)).get(v)
-    assert (None if hit is None else hit[0]) == vector_to_signed_root(v)
-
-
-def factor_standard_by_scan(c):
-    """Reference factorization: parse every row with
-    ``vector_to_signed_root`` and place it at its canonical row."""
+def factor_standard_by_search(c):
+    """Reference factorization by the definition: every rho in S_n for
+    which moving the rows of ``c`` back by rho gives a standard matrix."""
     n = len(c)
     if any(len(row) != n for row in c):
         return None
-    targets = []
-    for row in c:
-        g = vector_to_signed_root(row)
-        if g is None:
-            return None
-        targets.append(canonical_row(g))
-    if sorted(targets) != list(range(1, n + 1)):
-        return None
-    placement = Permutation(tuple(targets))
-    return placement.inverse(), placement.apply_to_rows(c)
+    found = []
+    for images in itertools.permutations(range(1, n + 1)):
+        rho = Permutation(images)
+        m = rho.inverse().apply_to_rows(c)
+        if is_standard(m):
+            found.append((rho, m))
+    assert len(found) <= 1
+    return found[0] if found else None
 
 
 def test_factor_standard_failures():
@@ -117,7 +94,7 @@ def test_factor_standard_failures():
         ((1, 1, 0), (0, 1, 1)),              # signed roots, but not square
     ]:
         assert factor_standard(c) is None
-        assert factor_standard_by_scan(c) is None
+        assert factor_standard_by_search(c) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -127,7 +104,7 @@ def test_factor_standard_round_trip_on_reachable(n):
         assert fact is not None
         assert is_standard(fact.m)
         assert fact.rho.apply_to_rows(fact.m) == c
-        assert (fact.rho, fact.m) == factor_standard_by_scan(c)
+        assert (fact.rho, fact.m) == factor_standard_by_search(c)
 
 
 def test_factorization_is_unique_exhaustively():
