@@ -21,10 +21,11 @@ from .roots import (CMatrixViolation, Root, SignedGenerator, all_roots,
                     euler_matrix, euler_pairing, ext, hom, in_wall,
                     root_to_vector, subroots, validate_c_matrix,
                     vector_to_signed_root)
-from .search import (ExchangeGraph, LoopResult, MGSResult,
-                     build_exchange_graph, count_loops_by_replay, count_mgs,
-                     count_reachable_states, enumerate_loops, enumerate_mgs,
-                     graph_to_dot, mgs_census)
+from .search import (ExchangeGraph, LoopResult, MGSResult, QuotientEdge,
+                     QuotientGraph, build_exchange_graph,
+                     count_loops_by_replay, count_mgs, count_reachable_states,
+                     enumerate_loops, enumerate_mgs, graph_to_dot, mgs_census,
+                     quotient_graph)
 from .standard import (StandardFactorization, canonical_row,
                        check_preservation, factor_standard, is_standard)
 
@@ -33,7 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Color", "CMatrixViolation", "ExchangeGraph",
     "ExchangeMatrix", "ExtendedExchangeMatrix", "FormulaReport", "LoopResult",
-    "MGSResult", "Permutation", "PictureWord", "Relation", "RelationVerdict",
+    "MGSResult", "Permutation", "PictureWord", "QuotientEdge",
+    "QuotientGraph", "Relation", "RelationVerdict",
     "Root", "SignedGenerator", "StandardFactorization",
     "TrackedState", "Verdict", "act", "act_word", "all_roots", "allowed",
     "apply_sequence", "build_exchange_graph", "canonical_row",
@@ -42,7 +44,8 @@ __all__ = [
     "euler_matrix", "euler_pairing", "ext", "factor_standard",
     "find_row_permutation", "format_state", "formula_permutation", "framed",
     "graph_to_dot", "hom", "in_wall", "is_all_red", "is_standard",
-    "mgs_census", "mutate", "permute_rows", "reconstructed_b",
+    "mgs_census", "mutate", "permute_rows", "quotient_graph",
+    "reconstructed_b",
     "relation_holds_on", "relations", "root_to_vector", "state_to_dot",
     "state_to_json", "subroots", "transposition_of", "validate_c_matrix",
     "vector_to_signed_root", "verify", "vertex_color", "word_from_sequence",

@@ -8,7 +8,9 @@ lexicographic order.
 Counting functions deliberately use a different traversal style than their
 enumerating counterparts (breadth-first level counts against depth-first
 listings, flat replay against prefix-sharing search) so that agreement
-between the two is evidence, not tautology.
+between the two is evidence, not tautology.  ``enumerate_mgs`` walks the
+standard quotient graph of ``quotient_graph``; every counting function
+mutates plain states.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
-from .formula import TrackedState
 from .perm import Permutation
-from .picture import PictureWord
+from .picture import PictureWord, transposition_of
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
                      apply_sequence, find_row_permutation, framed, mutate,
-                     reconstructed_b, vertex_color)
+                     permute_rows, reconstructed_b, vertex_color)
+from .roots import SignedGenerator, vector_to_signed_root
+from .standard import factor_standard
 
 MAX_N = 5
 """Largest rank the exhaustive traversals accept.  At n = 5 the exchange
@@ -30,10 +34,10 @@ graph has 15840 states and there are 2981 maximal green sequences; n = 6
 has 308880 states, beyond a desk-scale run."""
 
 
-def _straight_a(n: int) -> ExchangeMatrix:
+def _bounded(n: int) -> int:
     if n > MAX_N:
         raise ValueError(f"n={n} exceeds the size bound MAX_N={MAX_N}")
-    return ExchangeMatrix.straight_a(n)
+    return n
 
 
 @dataclass
@@ -56,7 +60,7 @@ class ExchangeGraph:
 def build_exchange_graph(n: int) -> ExchangeGraph:
     """Breadth-first closure of the framed straight-A_n state under mutation,
     for ``n <= MAX_N``."""
-    b0 = _straight_a(n)
+    b0 = ExchangeMatrix.straight_a(_bounded(n))
     start = framed(b0)
     graph = ExchangeGraph()
     graph.nodes[start.c] = start
@@ -100,6 +104,56 @@ def count_reachable_states(n: int) -> int:
     return len(seen)
 
 
+# named tuples, not dataclasses: a dataclass costs about a millisecond at
+# import, which every command pays
+class QuotientEdge(NamedTuple):
+    """Row ``r`` of a standard state, mutated: the signed generator and the
+    colour the row had before, the node index of the mutated state with its
+    rows moved back into standard order, and ``rho``, the permutation that
+    moves them (``factor_standard`` of the mutated c-matrix)."""
+
+    generator: SignedGenerator
+    color: Color
+    target: int
+    rho: Permutation
+
+
+class QuotientGraph(NamedTuple):
+    """The standard quotient graph Q of straight A_n.
+
+    Every reachable state is a standard state S with its rows moved by some
+    pi, and mutating it at vertex k mutates S at row pi^{-1}(k) and lands
+    on the state (pi o rho, S') of that row's edge.  ``nodes`` are the
+    Catalan(n+1) standard states in breadth-first order from the framed
+    state; ``edges[i][r-1]`` is row r of ``nodes[i]``.
+    """
+
+    nodes: tuple[ExtendedExchangeMatrix, ...]
+    edges: tuple[tuple[QuotientEdge, ...], ...]
+
+
+def quotient_graph(n: int) -> QuotientGraph:
+    """Breadth-first build of Q from the framed straight-A_n state, one
+    plain ``mutate`` and one ``factor_standard`` per (node, row)."""
+    nodes = [framed(ExchangeMatrix.straight_a(n))]
+    index = {nodes[0]: 0}
+    edges = []
+    for node in nodes:  # grows while it is walked
+        out = []
+        for r in range(1, n + 1):
+            mutated = mutate(node, r)
+            fact = factor_standard(mutated.c)
+            target = permute_rows(mutated, fact.rho.inverse())
+            i = index.get(target)
+            if i is None:
+                i = index[target] = len(nodes)
+                nodes.append(target)
+            out.append(QuotientEdge(vector_to_signed_root(node.c_row(r)),
+                                    vertex_color(node, r), i, fact.rho))
+        edges.append(tuple(out))
+    return QuotientGraph(tuple(nodes), tuple(edges))
+
+
 @dataclass(frozen=True)
 class MGSResult:
     sequence: tuple[int, ...]
@@ -116,28 +170,42 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
     """All maximal green sequences of straight A_n, ``n <= MAX_N``, in
     lexicographic order.
 
-    A sequence is emitted when no green vertex remains.  Each result
-    carries the word it spells and the permutation predicted by the
-    transposition product.  No cap on the length is needed: every maximal
+    A depth-first walk over the states (pi, node) of ``quotient_graph(n)``:
+    vertex k is row pi^{-1}(k) of the node, and stepping along a row moves
+    pi by the row's observed ``rho``, never by the formula.  A sequence is
+    emitted when no green vertex remains.  Each result carries the word it
+    spells and the permutation predicted by the transposition product,
+    accumulated separately.  No cap on the length is needed: every maximal
     green sequence of A_n has length at most n(n+1)/2.
     """
+    # pi is carried as its inverse, the row of each vertex, so pi <- pi o rho
+    # is rows <- rho^{-1} o rows; each edge's rho^{-1} is inverted once here
+    steps = [[(edge, edge.rho.inverse().images) for edge in row]
+             for row in quotient_graph(_bounded(n)).edges]
     out: list[MGSResult] = []
     seq: list[int] = []
+    factors: list[SignedGenerator] = []
 
     # the results are passed in, not closed over: a recursive closure is a
     # reference cycle, which would keep them alive until the next collection
-    def dfs(ts: TrackedState, sink: list[MGSResult]):
-        greens = _green_vertices(ts.state)
-        if not greens:
-            sink.append(MGSResult(tuple(seq), PictureWord(ts.factors),
-                                  ts.sigma))
-            return
-        for k in greens:
-            seq.append(k)
-            dfs(ts.step_vertex(k), sink)
-            seq.pop()
+    def dfs(rows: tuple[int, ...], node: int, sigma: Permutation,
+            sink: list[MGSResult]):
+        leaf = True
+        for k, r in enumerate(rows, start=1):
+            edge, back = steps[node][r - 1]
+            if edge.color is Color.GREEN:
+                leaf = False
+                seq.append(k)
+                factors.append(edge.generator)
+                dfs(tuple([back[x - 1] for x in rows]), edge.target,
+                    sigma * transposition_of(edge.generator, n), sink)
+                seq.pop()
+                factors.pop()
+        if leaf:
+            sink.append(MGSResult(tuple(seq), PictureWord(tuple(factors)),
+                                  sigma))
 
-    dfs(TrackedState.from_state(framed(_straight_a(n))), out)
+    dfs(tuple(range(1, n + 1)), 0, Permutation.identity(n), out)
     return out
 
 
@@ -236,15 +304,20 @@ def mgs_census(n: int) -> dict:
 def graph_to_dot(graph: ExchangeGraph) -> str:
     """DOT rendering of the exchange graph, nodes labeled by c-matrices."""
     ids = {key: f"s{idx}" for idx, key in enumerate(graph.nodes)}
+    # each distinct c-row (a signed root, at most n(n+1)) is rendered once
+    row_text = {row: " ".join(map(str, row))
+                for row in {row for key in graph.nodes for row in key}}
     lines = ["graph exchange {", "  node [shape=box, fontname=monospace];"]
     for key, node_id in ids.items():
-        label = "\\n".join(" ".join(str(x) for x in row) for row in key)
+        label = "\\n".join([row_text[row] for row in key])
         lines.append(f'  {node_id} [label="{label}"];')
     for key, neighbors in graph.edges.items():
+        node_id = ids[key]
         for k, other in enumerate(neighbors, start=1):
             # mutation is involutive, so each edge shows up from both ends;
             # keep the copy whose id string sorts first ("s10" < "s9")
-            if ids[key] < ids[other]:
-                lines.append(f'  {ids[key]} -- {ids[other]} [label="{k}"];')
+            other_id = ids[other]
+            if node_id < other_id:
+                lines.append(f'  {node_id} -- {other_id} [label="{k}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

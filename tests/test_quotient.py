@@ -1,6 +1,7 @@
-"""The standard quotient graph Q, built here from plain ``mutate``: its
-edges against the formula's transpositions, and counts read off Q by
-routes that share no traversal with ``search``.
+"""The standard quotient graph Q, which ``quotient_graph`` builds from plain
+``mutate`` and ``enumerate_mgs`` walks: its nodes, its edges against the
+formula's transpositions, and counts read off Q, each checked against a
+route that does not use Q.
 
 Every reachable state of straight A_n is a standard state S with its rows
 moved by some pi, and mutating it at vertex k mutates S at row
@@ -16,55 +17,45 @@ import math
 import pytest
 
 from quiverperm import (Color, ExchangeMatrix, Permutation, Root,
-                        SignedGenerator, count_mgs, enumerate_mgs,
-                        factor_standard, framed, is_standard, mutate,
-                        permute_rows, transposition_of, vector_to_signed_root,
+                        SignedGenerator, coframed, count_mgs, enumerate_mgs,
+                        is_all_red, is_standard, quotient_graph,
+                        transposition_of, vector_to_signed_root,
                         vertex_color)
 
 X02 = SignedGenerator(Root(0, 2))
 
-
-@functools.cache
-def quotient(n):
-    """Q of straight A_n: its nodes in breadth-first order from the framed
-    state, and for each node one edge (generator, target, rho) per row.
-    The generator is read off the row, the target is the mutated state
-    with its rows moved back into standard order, and rho is the
-    permutation that moves them, both observed on plain ``mutate``."""
-    nodes = [framed(ExchangeMatrix.straight_a(n))]
-    seen = set(nodes)
-    edges = {}
-    for node in nodes:  # grows while it is walked
-        out = []
-        for p in range(1, n + 1):
-            mutated = mutate(node, p)
-            fact = factor_standard(mutated.c)
-            target = permute_rows(mutated, fact.rho.inverse())
-            out.append((vector_to_signed_root(node.c_row(p)), target,
-                        fact.rho))
-            if target not in seen:
-                seen.add(target)
-                nodes.append(target)
-        edges[node] = tuple(out)
-    return nodes, edges
+quotient = functools.cache(quotient_graph)
 
 
 def first_quotient_edge_failure(n, transposition=transposition_of):
     """The first (node, row) of Q whose observed rho differs from
     ``transposition`` of the row's generator; ``None`` if there is none."""
-    nodes, edges = quotient(n)
-    for node in nodes:
-        for p, (g, _, rho) in enumerate(edges[node], start=1):
-            if rho != transposition(g, n):
+    graph = quotient(n)
+    for node, row_edges in zip(graph.nodes, graph.edges):
+        for p, edge in enumerate(row_edges, start=1):
+            if edge.rho != transposition(edge.generator, n):
                 return node, p
     return None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_quotient_nodes_are_the_catalan_standard_states(n):
-    nodes, _ = quotient(n)
+    nodes = quotient(n).nodes
     assert len(nodes) == math.comb(2 * n + 2, n + 1) // (n + 2)
     assert all(is_standard(node.c) for node in nodes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_quotient_has_one_all_red_node_the_coframe(n):
+    # every reachable state is (pi, node), so with equivariance this is the
+    # all-red check on the full exchange graph: each all-red state is -I
+    # with its rows moved
+    graph = quotient(n)
+    for node, row_edges in zip(graph.nodes, graph.edges):
+        assert [edge.color for edge in row_edges] \
+            == [vertex_color(node, p) for p in range(1, n + 1)]
+    red = [node.c for node in graph.nodes if is_all_red(node)]
+    assert red == [coframed(ExchangeMatrix.straight_a(n)).c]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -89,13 +80,12 @@ def loop_count_by_transfer_matrix(n, max_len):
     states: a state (pi, S) returns to a row permutation of itself exactly
     when its walk returns to the node S, so the count is n! times the sum
     of the traces of A^1 .. A^max_len for Q's adjacency matrix A."""
-    nodes, edges = quotient(n)
-    index = {node: i for i, node in enumerate(nodes)}
-    size = len(nodes)
-    adjacency = [[0] * size for _ in nodes]
-    for i, node in enumerate(nodes):
-        for _, target, _ in edges[node]:
-            adjacency[i][index[target]] += 1
+    edges = quotient(n).edges
+    size = len(edges)
+    adjacency = [[0] * size for _ in edges]
+    for i, row_edges in enumerate(edges):
+        for edge in row_edges:
+            adjacency[i][edge.target] += 1
     power = [[int(i == j) for j in range(size)] for i in range(size)]
     closed = 0
     for _ in range(max_len):
@@ -115,18 +105,19 @@ def mgs_count_by_dp(n):
     """Maximal green sequences from the framed node: a node without green
     rows ends one sequence; otherwise count(S) is the sum of count(S') over
     the targets of its green rows."""
-    nodes, edges = quotient(n)
+    graph = quotient(n)
     memo = {}
 
-    def count(node):
-        if node not in memo:
-            greens = [target for p, (_, target, _) in
-                      enumerate(edges[node], start=1)
+    def count(i):
+        if i not in memo:
+            node = graph.nodes[i]
+            greens = [edge.target for p, edge in
+                      enumerate(graph.edges[i], start=1)
                       if vertex_color(node, p) is Color.GREEN]
-            memo[node] = sum(map(count, greens)) if greens else 1
-        return memo[node]
+            memo[i] = sum(map(count, greens)) if greens else 1
+        return memo[i]
 
-    return count(nodes[0])
+    return count(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -4,13 +4,16 @@ from itertools import product
 
 import pytest
 
-from quiverperm import (ExchangeMatrix, Permutation, PictureWord, Root,
-                        SignedGenerator, apply_sequence, build_exchange_graph,
+from quiverperm import (Color, ExchangeMatrix, MGSResult, Permutation,
+                        PictureWord, Root, SignedGenerator, TrackedState,
+                        apply_sequence, build_exchange_graph,
                         count_loops_by_replay, count_mgs,
                         count_reachable_states, enumerate_loops,
                         enumerate_mgs, find_row_permutation, framed,
                         graph_to_dot, is_all_red, is_standard, mgs_census,
-                        mutate, reconstructed_b)
+                        mutate, reconstructed_b, transposition_of,
+                        vertex_color)
+from quiverperm import search
 
 A2 = ExchangeMatrix.straight_a(2)
 
@@ -37,15 +40,55 @@ def test_enumerate_mgs_rank2_exact():
     assert results[1].permutation == Permutation.transposition(2, 1, 2)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_mgs_results_are_green_to_all_red(n):
     m = framed(ExchangeMatrix.straight_a(n))
     for r in enumerate_mgs(n):
         assert is_all_red(apply_sequence(m, r.sequence))
-        # strictly green: every proper prefix still has a green vertex,
-        # witnessed by the prefix continuing
-        for cut in range(len(r.sequence)):
-            assert not is_all_red(apply_sequence(m, r.sequence[:cut]))
+        # strictly green: every step mutates a vertex that is green after
+        # the prefix before it, so no proper prefix is all red
+        for cut, k in enumerate(r.sequence):
+            prefix_end = apply_sequence(m, r.sequence[:cut])
+            assert vertex_color(prefix_end, k) is Color.GREEN
+
+
+def mgs_by_tracked_walk(n):
+    """Reference listing: a depth-first walk of ``TrackedState`` steps on
+    plain ``mutate``, green vertices in ascending order, each sequence
+    carrying the tracked word and sigma."""
+    out = []
+
+    def dfs(ts, seq):
+        greens = [k for k in range(1, n + 1)
+                  if vertex_color(ts.state, k) is Color.GREEN]
+        if not greens:
+            out.append(MGSResult(seq, PictureWord(ts.factors), ts.sigma))
+        for k in greens:
+            dfs(ts.step_vertex(k), seq + (k,))
+
+    dfs(TrackedState.from_state(framed(ExchangeMatrix.straight_a(n))), ())
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_mgs_equals_the_walk_on_plain_mutate(n):
+    # the quotient-graph walk must list the same results in the same order
+    assert enumerate_mgs(n) == mgs_by_tracked_walk(n)
+
+
+def test_enumerate_mgs_walks_the_observed_rho_not_the_formula(monkeypatch):
+    # with x02's transposition dropped from the prediction, the walk must
+    # still spell the same sequences and words; only permutations move
+    expected = enumerate_mgs(3)
+    monkeypatch.setattr(
+        search, "transposition_of",
+        lambda g, n: Permutation.identity(n) if g == X02
+        else transposition_of(g, n))
+    broken = enumerate_mgs(3)
+    assert [(r.sequence, r.word) for r in broken] \
+        == [(r.sequence, r.word) for r in expected]
+    assert any(a.permutation != b.permutation
+               for a, b in zip(broken, expected))
 
 
 def test_mgs_antichain_and_order():
