@@ -63,15 +63,15 @@ class TrackedState:
         return cls(m, fact.rho)
 
     def step_vertex(self, k: int) -> "TrackedState":
-        g, nxt = step(self.state, k)
-        return TrackedState(nxt, self.sigma * transposition_of(g, nxt.n),
-                            self.factors + (g,))
+        return self.run((k,))
 
     def run(self, seq: Sequence[int]) -> "TrackedState":
-        cur = self
+        state, sigma, factors = self.state, self.sigma, list(self.factors)
         for k in seq:
-            cur = cur.step_vertex(k)
-        return cur
+            g, state = step(state, k)
+            sigma = sigma * transposition_of(g, state.n)
+            factors.append(g)
+        return TrackedState(state, sigma, tuple(factors))
 
 
 class Verdict(Enum):

@@ -15,8 +15,9 @@ mutates plain states.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -40,17 +41,18 @@ def _bounded(n: int) -> int:
     return n
 
 
-@dataclass
-class ExchangeGraph:
-    """All states reachable from the framed quiver, keyed by c-matrix.
+# named tuples, not dataclasses: a dataclass costs about a millisecond at
+# import, which every command pays
+class ExchangeGraph(NamedTuple):
+    """All states reachable from the framed quiver, in breadth-first order.
 
-    The b-part is determined by the c-part (B = C B0 C^t), so the c-matrix
-    alone is a faithful key; the builder checks that identity at every
-    insert.  ``edges[key][k-1]`` is the key reached by mutating at k.
+    ``nodes`` maps each c-matrix to its state: it determines the b-part
+    (B = C B0 C^t), which the builder checks at every insert.
+    ``edges[i][k-1]`` indexes the state that mutating state i at k reaches.
     """
 
-    nodes: dict[IntMatrix, ExtendedExchangeMatrix] = field(default_factory=dict)
-    edges: dict[IntMatrix, tuple[IntMatrix, ...]] = field(default_factory=dict)
+    nodes: dict[IntMatrix, ExtendedExchangeMatrix]
+    edges: tuple[tuple[int, ...], ...]
 
     @property
     def node_count(self) -> int:
@@ -59,33 +61,29 @@ class ExchangeGraph:
 
 def build_exchange_graph(n: int) -> ExchangeGraph:
     """Breadth-first closure of the framed straight-A_n state under mutation,
-    for ``n <= MAX_N``."""
+    for ``n <= MAX_N``: n plain ``mutate`` calls per state."""
     b0 = ExchangeMatrix.straight_a(_bounded(n))
-    start = framed(b0)
-    graph = ExchangeGraph()
-    graph.nodes[start.c] = start
-    queue = [start]
-    while queue:
-        nxt = []
-        for state in queue:
-            neighbor_keys = []
-            for k in range(1, n + 1):
-                neighbor = mutate(state, k)
-                neighbor_keys.append(neighbor.c)
-                known = graph.nodes.get(neighbor.c)
-                if known is None:
-                    if neighbor.b != reconstructed_b(b0.b, neighbor.c):
-                        raise AssertionError(
-                            "b-part disagrees with C B0 C^t at a new node")
-                    graph.nodes[neighbor.c] = neighbor
-                    nxt.append(neighbor)
-                elif known != neighbor:
+    states = [framed(b0)]
+    index = {states[0].c: 0}
+    edges = []
+    for state in states:  # grows while it is walked
+        out = []
+        for k in range(1, n + 1):
+            neighbor = mutate(state, k)
+            i = index.get(neighbor.c)
+            if i is None:
+                if neighbor.b != reconstructed_b(b0.b, neighbor.c):
                     raise AssertionError(
-                        "two mutation paths reached the same c-matrix "
-                        "with different b-parts")
-            graph.edges[state.c] = tuple(neighbor_keys)
-        queue = nxt
-    return graph
+                        "b-part disagrees with C B0 C^t at a new node")
+                i = index[neighbor.c] = len(states)
+                states.append(neighbor)
+            elif states[i] != neighbor:
+                raise AssertionError(
+                    "two mutation paths reached the same c-matrix "
+                    "with different b-parts")
+            out.append(i)
+        edges.append(tuple(out))
+    return ExchangeGraph(dict(zip(index, states)), tuple(edges))
 
 
 def count_reachable_states(n: int) -> int:
@@ -104,16 +102,13 @@ def count_reachable_states(n: int) -> int:
     return len(seen)
 
 
-# named tuples, not dataclasses: a dataclass costs about a millisecond at
-# import, which every command pays
 class QuotientEdge(NamedTuple):
-    """Row ``r`` of a standard state, mutated: the signed generator and the
-    colour the row had before, the node index of the mutated state with its
-    rows moved back into standard order, and ``rho``, the permutation that
+    """Row ``r`` of a standard state, mutated: the row's signed generator,
+    green exactly when its ``delta`` is +1, the node index of the mutated
+    state with its rows moved back into standard order, and ``rho``, which
     moves them (``factor_standard`` of the mutated c-matrix)."""
 
     generator: SignedGenerator
-    color: Color
     target: int
     rho: Permutation
 
@@ -148,8 +143,8 @@ def quotient_graph(n: int) -> QuotientGraph:
             if i is None:
                 i = index[target] = len(nodes)
                 nodes.append(target)
-            out.append(QuotientEdge(vector_to_signed_root(node.c_row(r)),
-                                    vertex_color(node, r), i, fact.rho))
+            out.append(QuotientEdge(vector_to_signed_root(node.c_row(r)), i,
+                                    fact.rho))
         edges.append(tuple(out))
     return QuotientGraph(tuple(nodes), tuple(edges))
 
@@ -193,7 +188,7 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
         leaf = True
         for k, r in enumerate(rows, start=1):
             edge, back = steps[node][r - 1]
-            if edge.color is Color.GREEN:
+            if edge.generator.delta > 0:
                 leaf = False
                 seq.append(k)
                 factors.append(edge.generator)
@@ -247,8 +242,13 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     Each expanded state's successors ``(k, neighbor, rho or None)`` are
     memoized for the call, so mutation and the loop test
     ``find_row_permutation`` run once per distinct state within
-    ``max_len - 1`` steps of ``m``, not once per prefix.
+    ``max_len - 1`` steps of ``m``, not once per prefix.  The search
+    recurses per step: past half the recursion limit it raises ValueError.
     """
+    deepest = sys.getrecursionlimit() // 2
+    if max_len > deepest:
+        raise ValueError(f"loop length {max_len} exceeds {deepest}, the "
+                         "longest the depth-first search accepts")
     out: list[LoopResult] = []
     seq: list[int] = []
 
@@ -303,16 +303,15 @@ def mgs_census(n: int) -> dict:
 
 def graph_to_dot(graph: ExchangeGraph) -> str:
     """DOT rendering of the exchange graph, nodes labeled by c-matrices."""
-    ids = {key: f"s{idx}" for idx, key in enumerate(graph.nodes)}
+    ids = [f"s{idx}" for idx in range(graph.node_count)]
     # each distinct c-row (a signed root, at most n(n+1)) is rendered once
     row_text = {row: " ".join(map(str, row))
                 for row in {row for key in graph.nodes for row in key}}
     lines = ["graph exchange {", "  node [shape=box, fontname=monospace];"]
-    for key, node_id in ids.items():
+    for node_id, key in zip(ids, graph.nodes):
         label = "\\n".join([row_text[row] for row in key])
         lines.append(f'  {node_id} [label="{label}"];')
-    for key, neighbors in graph.edges.items():
-        node_id = ids[key]
+    for node_id, neighbors in zip(ids, graph.edges):
         for k, other in enumerate(neighbors, start=1):
             # mutation is involutive, so each edge shows up from both ends;
             # keep the copy whose id string sorts first ("s10" < "s9")

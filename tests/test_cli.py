@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,20 @@ def test_verify_with_loops(capsys):
     # 2 green sequences plus the 10 loops of length <= 5
     assert "12 sequences checked, 0 mismatches" in out
     assert "loop 2 1 2 1 2: match (formula (12), observed (12))" in out
+
+
+@pytest.mark.parametrize("depth", ["990", "1200"])
+def test_verify_rejects_loops_deeper_than_the_search(tmp_path, capsys, depth):
+    # the loop search recurses once per step: past half the recursion limit
+    # it refuses up front rather than die with a RecursionError
+    target = tmp_path / "verify.txt"
+    code, out, err = run(capsys, "verify", "--n", "1", "--max-depth", depth,
+                         "--out", str(target))
+    assert code == 2
+    assert err.startswith(f"error: loop length {depth} exceeds "
+                          f"{sys.getrecursionlimit() // 2}")
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_verify_rank3(capsys):
@@ -313,16 +328,22 @@ def test_unknown_command_exits_with_usage():
 
 
 def test_verify_output_matches_benchmark_digest(tmp_path):
-    # the benchmark's mgs-verify workload fails on any change to what
-    # verify writes; pin the same digest here so the fast suite sees it
+    # the benchmark fails on any change to what verify, census and
+    # export-dot write; pin the same digests here so the fast suite sees it
     path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
     frozen = {node.targets[0].id: ast.literal_eval(node.value)
               for node in ast.parse(path.read_text()).body
               if isinstance(node, ast.Assign)
               and isinstance(node.targets[0], ast.Name)
-              and node.targets[0].id in ("MGS_N", "DIGESTS")}
-    target = tmp_path / "verify.txt"
-    assert main(["verify", "--n", str(frozen["MGS_N"]),
-                 "--out", str(target)]) == 0
-    assert hashlib.sha256(target.read_bytes()).hexdigest() \
-        == frozen["DIGESTS"]["verify"]
+              and node.targets[0].id in ("MGS_N", "GRAPH_N", "DIGESTS")}
+    commands = {
+        "verify": ["verify", "--n", str(frozen["MGS_N"])],
+        "census": ["census", "--n", str(frozen["MGS_N"]), "--format", "json"],
+        "export-dot": ["export-dot", "--n", str(frozen["GRAPH_N"])],
+    }
+    assert commands.keys() == frozen["DIGESTS"].keys()
+    for name, argv in commands.items():
+        target = tmp_path / name
+        assert main(argv + ["--out", str(target)]) == 0
+        assert hashlib.sha256(target.read_bytes()).hexdigest() \
+            == frozen["DIGESTS"][name], name

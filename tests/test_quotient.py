@@ -52,8 +52,8 @@ def test_quotient_has_one_all_red_node_the_coframe(n):
     # with its rows moved
     graph = quotient(n)
     for node, row_edges in zip(graph.nodes, graph.edges):
-        assert [edge.color for edge in row_edges] \
-            == [vertex_color(node, p) for p in range(1, n + 1)]
+        assert [edge.generator.delta > 0 for edge in row_edges] \
+            == [vertex_color(node, p) is Color.GREEN for p in range(1, n + 1)]
     red = [node.c for node in graph.nodes if is_all_red(node)]
     assert red == [coframed(ExchangeMatrix.straight_a(n)).c]
 

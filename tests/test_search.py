@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 from itertools import product
 
@@ -155,8 +156,8 @@ def test_mgs_length_bounds(n):
 def test_build_exchange_graph_rank1():
     graph = build_exchange_graph(1)
     assert graph.node_count == 2
-    assert set(graph.nodes) == {((1,),), ((-1,),)}
-    assert graph.edges[((1,),)] == (((-1,),),)
+    assert list(graph.nodes) == [((1,),), ((-1,),)]
+    assert graph.edges == ((1,), (0,))
 
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (2, 10), (3, 84)])
@@ -173,11 +174,13 @@ def test_graph_bound():
 
 def test_graph_edges_are_involutive():
     graph = build_exchange_graph(3)
-    for key, neighbors in graph.edges.items():
+    states = list(graph.nodes.values())
+    assert len(graph.edges) == len(states)
+    for i, neighbors in enumerate(graph.edges):
         assert len(neighbors) == 3
-        for k, other in enumerate(neighbors, start=1):
-            assert graph.edges[other][k - 1] == key
-            assert graph.nodes[other] == mutate(graph.nodes[key], k)
+        for k, j in enumerate(neighbors, start=1):
+            assert graph.edges[j][k - 1] == i
+            assert states[j] == mutate(states[i], k)
 
 
 def test_graph_states_are_consistent():
@@ -255,6 +258,16 @@ def test_count_loops_matches_enumeration(n, depth):
     assert count_loops_by_replay(m, depth) == len(enumerate_loops(m, depth))
 
 
+def test_enumerate_loops_refuses_lengths_past_half_the_recursion_limit():
+    # at rank 1 the only loops are (1, 1, ...) of even length, so the
+    # longest accepted length is reached without a blow-up in their number
+    deepest = sys.getrecursionlimit() // 2
+    m = framed(ExchangeMatrix.straight_a(1))
+    assert len(enumerate_loops(m, deepest)) == deepest // 2
+    with pytest.raises(ValueError, match=f"exceeds {deepest}, the longest"):
+        enumerate_loops(m, deepest + 1)
+
+
 def test_loop_counts_depth6_frozen():
     m = framed(A2)
     results = enumerate_loops(m, max_len=6)
@@ -275,11 +288,10 @@ def test_graph_to_dot():
 def test_graph_to_dot_writes_each_edge_once():
     # at n = 3 ids reach s83, where string order and numeric order differ
     graph = build_exchange_graph(3)
-    keys = {f"s{idx}": key for idx, key in enumerate(graph.nodes)}
     edges = [line.split() for line in graph_to_dot(graph).splitlines()
              if " -- " in line]
     assert len(edges) == 126  # 84 nodes x 3 edges / 2
     assert len({frozenset((a, b)) for a, _, b, _ in edges}) == 126
     for a, _, b, label in edges:
         k = int(label.removeprefix('[label="').removesuffix('"];'))
-        assert graph.edges[keys[a]][k - 1] == keys[b]
+        assert graph.edges[int(a[1:])][k - 1] == int(b[1:])
