@@ -6,7 +6,8 @@ product predicting the permutation a mutation sequence induces, all over
 exact integer arithmetic with exhaustive desk-scale verification.
 """
 
-from .formula import (FormulaReport, TrackedState, Verdict, formula_permutation,
+from .formula import (FormulaReport, TrackedState, Verdict,
+                      check_preservation, formula_permutation,
                       transposition_of, verify)
 from .perm import Permutation
 from .picture import (PictureWord, Relation, RelationVerdict, act, act_word,
@@ -26,8 +27,8 @@ from .search import (ExchangeGraph, LoopResult, MGSResult, QuotientEdge,
                      count_loops_by_replay, count_mgs, count_reachable_states,
                      enumerate_loops, enumerate_mgs, graph_to_dot, mgs_census,
                      quotient_graph)
-from .standard import (StandardFactorization, canonical_row,
-                       check_preservation, factor_standard, is_standard)
+from .standard import (StandardFactorization, canonical_row, factor_standard,
+                       is_standard)
 
 __version__ = "0.1.0"
 

@@ -24,6 +24,11 @@ from .search import (build_exchange_graph, enumerate_loops, enumerate_mgs,
                      graph_to_dot, mgs_census)
 from .standard import factor_standard, is_standard
 
+MAX_N = 5
+"""Largest rank the exhaustive commands accept.  At n = 5 the exchange
+graph has 15840 states and there are 2981 maximal green sequences; n = 6
+has 308880 states, beyond a desk-scale run."""
+
 
 @contextmanager
 def _output(path: Optional[str]):
@@ -243,6 +248,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ValueError("--max-depth needs --seed")
         if max_depth is not None and max_depth < 0:
             raise ValueError("--max-depth must be nonnegative")
+        if args.command in ("verify", "census", "export-dot") and n > MAX_N:
+            raise ValueError(f"n={n} exceeds the size bound MAX_N={MAX_N}")
         return args.run(args)
     except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

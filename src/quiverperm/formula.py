@@ -8,31 +8,53 @@ relabeling of mutable vertices is
     sigma o t_1 o t_2 o ... o t_N o sigma^{-1}
 
 A ``TrackedState`` follows sigma step by step, sigma <- sigma o (i+1 j),
-because each such step keeps the c-matrix standard; after a sequence it
-holds sigma o t_1 o ... o t_N.  ``verify`` walks each sequence once and
-takes its prediction from that walk; ``formula_permutation`` is the closed
-form above, the reference the tracked prediction is tested against.  The
-walk's states come from plain ``mutate``, so the formula decides only the
-tracked sigma, never which state comes next.  Every sequence is compared
-with one independent observation: the permutation part of the endpoint's
-c-matrix, refactored from scratch, times the inverse of the start's.  On
-a loop this is the row permutation from the start to the endpoint, and on
-a reddening sequence from the framed start the row permutation from the
-coframe.  The observation is read off the endpoint alone, never from the
-tracked sigma.
+because each such step keeps the c-matrix standard (``check_preservation``);
+after a sequence it holds sigma o t_1 o ... o t_N.  ``verify`` walks each
+sequence once and takes its prediction from that walk;
+``formula_permutation`` is the closed form above, the reference the tracked
+prediction is tested against.  The walk's states come from plain
+``mutate``, so the formula decides only the tracked sigma, never which
+state comes next.  Every sequence is compared with one independent
+observation: the permutation part of the endpoint's c-matrix, refactored
+from scratch, times the inverse of the start's.  On a loop this is the row
+permutation from the start to the endpoint, and on a reddening sequence
+from the framed start the row permutation from the coframe.  The
+observation is read off the endpoint alone, never from the tracked sigma.
+No other module knows the transpositions, so no other one predicts.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .perm import Permutation
-from .picture import PictureWord, step, transposition_of
-from .quiver import ExtendedExchangeMatrix
+from .picture import PictureWord, act, step
+from .quiver import ExtendedExchangeMatrix, permute_rows
 from .roots import SignedGenerator
-from .standard import factor_standard
+from .standard import factor_standard, is_standard
+
+
+@functools.cache
+def transposition_of(g: SignedGenerator, n: int) -> Permutation:
+    """(i+1 j) for the generator of root (i, j); identity for simple roots.
+    Built once per generator and rank, at most n(n+1) per rank."""
+    return Permutation.transposition(n, g.root.i + 1, g.root.j)
+
+
+def check_preservation(state: ExtendedExchangeMatrix, g) -> bool:
+    """Apply generator ``g`` and then the transposition (i+1, j) to a state
+    with standard c-matrix; report whether the result is again standard.
+
+    Raises ``ValueError`` when ``g`` is not allowed on the state or the
+    state's c-matrix is not standard.
+    """
+    if not is_standard(state.c):
+        raise ValueError("state's c-matrix is not standard")
+    acted = act(state, g)
+    return is_standard(permute_rows(acted, transposition_of(g, state.n)).c)
 
 
 def formula_permutation(w: PictureWord, sigma: Permutation) -> Permutation:

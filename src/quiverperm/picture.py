@@ -9,18 +9,17 @@ left, so the last-applied factor prints leftmost.
 Two words that are equal in the generated group need not act identically:
 their results can differ by a relabeling of the mutable vertices, which is
 exactly what the associated permutation of a word measures.  Relation
-checks therefore compare states up to a row permutation.
+checks therefore compare states up to a row permutation.  Nothing here
+predicts that relabeling: the transposition formula lives in ``formula``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .perm import Permutation
 from .quiver import ExtendedExchangeMatrix, find_row_permutation, mutate
 from .roots import (Root, SignedGenerator, all_roots, root_to_vector,
                     vector_to_signed_root)
@@ -66,13 +65,6 @@ def act(m: ExtendedExchangeMatrix,
     if k is None:
         raise ValueError(f"{g} is undefined on this state: no matching c-vector")
     return mutate(m, k)
-
-
-@functools.cache
-def transposition_of(g: SignedGenerator, n: int) -> Permutation:
-    """(i+1 j) for the generator of root (i, j); identity for simple roots.
-    Built once per generator and rank, at most n(n+1) per rank."""
-    return Permutation.transposition(n, g.root.i + 1, g.root.j)
 
 
 def step(m: ExtendedExchangeMatrix,

@@ -10,7 +10,8 @@ enumerating counterparts (breadth-first level counts against depth-first
 listings, flat replay against prefix-sharing search) so that agreement
 between the two is evidence, not tautology.  ``enumerate_mgs`` walks the
 standard quotient graph of ``quotient_graph``; every counting function
-mutates plain states.
+mutates plain states.  Permutations here are observed, never predicted:
+the transposition formula is not visible to this module.
 """
 
 from __future__ import annotations
@@ -21,25 +22,13 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .perm import Permutation
-from .picture import PictureWord, transposition_of
+from .perm import Permutation, _trusted
+from .picture import PictureWord
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
                      apply_sequence, find_row_permutation, framed, mutate,
                      permute_rows, reconstructed_b, vertex_color)
 from .roots import SignedGenerator, vector_to_signed_root
 from .standard import factor_standard
-
-MAX_N = 5
-"""Largest rank the exhaustive traversals accept.  At n = 5 the exchange
-graph has 15840 states and there are 2981 maximal green sequences; n = 6
-has 308880 states, beyond a desk-scale run."""
-
-
-def _bounded(n: int) -> int:
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds the size bound MAX_N={MAX_N}")
-    return n
-
 
 # named tuples, not dataclasses: a dataclass costs about a millisecond at
 # import, which every command pays
@@ -60,9 +49,9 @@ class ExchangeGraph(NamedTuple):
 
 
 def build_exchange_graph(n: int) -> ExchangeGraph:
-    """Breadth-first closure of the framed straight-A_n state under mutation,
-    for ``n <= MAX_N``: n plain ``mutate`` calls per state."""
-    b0 = ExchangeMatrix.straight_a(_bounded(n))
+    """Breadth-first closure of the framed straight-A_n state under mutation:
+    n plain ``mutate`` calls per state."""
+    b0 = ExchangeMatrix.straight_a(n)
     states = [framed(b0)]
     index = {states[0].c: 0}
     edges = []
@@ -151,6 +140,9 @@ def quotient_graph(n: int) -> QuotientGraph:
 
 @dataclass(frozen=True)
 class MGSResult:
+    """A maximal green sequence, the word it spells and its permutation:
+    the relabeling that moves the coframe's rows to the endpoint's."""
+
     sequence: tuple[int, ...]
     word: PictureWord
     permutation: Permutation
@@ -162,29 +154,27 @@ def _green_vertices(state: ExtendedExchangeMatrix) -> list[int]:
 
 
 def enumerate_mgs(n: int) -> list[MGSResult]:
-    """All maximal green sequences of straight A_n, ``n <= MAX_N``, in
-    lexicographic order.
+    """All maximal green sequences of straight A_n in lexicographic order.
 
     A depth-first walk over the states (pi, node) of ``quotient_graph(n)``:
     vertex k is row pi^{-1}(k) of the node, and stepping along a row moves
-    pi by the row's observed ``rho``, never by the formula.  A sequence is
-    emitted when no green vertex remains.  Each result carries the word it
-    spells and the permutation predicted by the transposition product,
-    accumulated separately.  No cap on the length is needed: every maximal
-    green sequence of A_n has length at most n(n+1)/2.
+    pi by the row's observed ``rho``.  A sequence is emitted when no green
+    vertex remains; its node is then the coframe, and its permutation is
+    the pi that moves the coframe's rows to the endpoint's.  No cap on the
+    length is needed: every maximal green sequence of A_n has length at
+    most n(n+1)/2.
     """
     # pi is carried as its inverse, the row of each vertex, so pi <- pi o rho
     # is rows <- rho^{-1} o rows; each edge's rho^{-1} is inverted once here
     steps = [[(edge, edge.rho.inverse().images) for edge in row]
-             for row in quotient_graph(_bounded(n)).edges]
+             for row in quotient_graph(n).edges]
     out: list[MGSResult] = []
     seq: list[int] = []
     factors: list[SignedGenerator] = []
 
     # the results are passed in, not closed over: a recursive closure is a
     # reference cycle, which would keep them alive until the next collection
-    def dfs(rows: tuple[int, ...], node: int, sigma: Permutation,
-            sink: list[MGSResult]):
+    def dfs(rows: tuple[int, ...], node: int, sink: list[MGSResult]):
         leaf = True
         for k, r in enumerate(rows, start=1):
             edge, back = steps[node][r - 1]
@@ -192,15 +182,14 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
                 leaf = False
                 seq.append(k)
                 factors.append(edge.generator)
-                dfs(tuple([back[x - 1] for x in rows]), edge.target,
-                    sigma * transposition_of(edge.generator, n), sink)
+                dfs(tuple([back[x - 1] for x in rows]), edge.target, sink)
                 seq.pop()
                 factors.pop()
         if leaf:
             sink.append(MGSResult(tuple(seq), PictureWord(tuple(factors)),
-                                  sigma))
+                                  _trusted(rows).inverse()))
 
-    dfs(tuple(range(1, n + 1)), 0, Permutation.identity(n), out)
+    dfs(tuple(range(1, n + 1)), 0, out)
     return out
 
 
@@ -287,7 +276,7 @@ def count_loops_by_replay(m: ExtendedExchangeMatrix, max_len: int) -> int:
 
 def mgs_census(n: int) -> dict:
     """Count, length histogram, permutation histogram and length range of
-    the maximal green sequences of straight A_n, ``n <= MAX_N``."""
+    the maximal green sequences of straight A_n."""
     results = enumerate_mgs(n)
     lengths = Counter(len(r.sequence) for r in results)
     perms = Counter(r.permutation.cycle_string() for r in results)

@@ -5,7 +5,8 @@ entries sit on or above the diagonal, negative entries on or below, and
 every row is a signed root.  Those axioms force each signed root into a
 single row: +b_ij into row i+1 and -b_ij into row j.  Consequently any
 matrix whose rows are signed roots factors in at most one way as a row
-permutation of a standard matrix.
+permutation of a standard matrix, and the permutation part of that
+factorization is how the rest of the package observes a relabeling.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .perm import Permutation, _trusted
-from .picture import act, transposition_of
-from .quiver import ExtendedExchangeMatrix, IntMatrix, permute_rows
+from .quiver import IntMatrix
 from .roots import SignedGenerator, vector_to_signed_root
 
 
@@ -73,16 +73,3 @@ def factor_standard(c: IntMatrix) -> Optional[StandardFactorization]:
     placement = _trusted(tuple(targets))
     return StandardFactorization(placement.inverse(),
                                  placement.apply_to_rows(c))
-
-
-def check_preservation(state: ExtendedExchangeMatrix, g) -> bool:
-    """Apply generator ``g`` and then the transposition (i+1, j) to a state
-    with standard c-matrix; report whether the result is again standard.
-
-    Raises ``ValueError`` when ``g`` is not allowed on the state or the
-    state's c-matrix is not standard.
-    """
-    if not is_standard(state.c):
-        raise ValueError("state's c-matrix is not standard")
-    acted = act(state, g)
-    return is_standard(permute_rows(acted, transposition_of(g, state.n)).c)

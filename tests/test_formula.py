@@ -8,10 +8,11 @@ import quiverperm.formula
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
                         PictureWord, Root, SignedGenerator, TrackedState,
                         Verdict, apply_sequence, build_exchange_graph,
-                        coframed, enumerate_loops, enumerate_mgs,
+                        act_word, coframed, enumerate_loops, enumerate_mgs,
                         factor_standard, find_row_permutation,
                         formula_permutation, framed, is_all_red, mutate,
-                        transposition_of, verify, word_from_sequence)
+                        relations, transposition_of, verify,
+                        word_from_sequence)
 
 A2 = ExchangeMatrix.straight_a(2)
 
@@ -158,6 +159,48 @@ def test_edge_check_names_the_broken_edge(monkeypatch):
         for k in range(1, n + 1)
         if word_from_sequence(state, (k,)).factors == (X02,))
     assert first_edge_failure(n) == first_x02_edge
+
+
+def relation_relabelings(n):
+    """(observed, predicted) for every relation whose two sides are both
+    defined at a state of the exchange graph: the row permutation from the
+    lhs's result to the rhs's, and formula(rhs) * formula(lhs)^-1."""
+    out = []
+    rels = relations(n)
+    for m in build_exchange_graph(n).nodes.values():
+        sigma = factor_standard(m.c).rho
+        for rel in rels:
+            try:
+                left, right = act_word(m, rel.lhs), act_word(m, rel.rhs)
+            except ValueError:
+                continue
+            out.append((find_row_permutation(left, right),
+                        formula_permutation(rel.rhs, sigma)
+                        * formula_permutation(rel.lhs, sigma).inverse()))
+    return out
+
+
+@pytest.mark.parametrize("n,cases,nontrivial",
+                         [(2, 2, 2), (3, 54, 36), (4, 1344, 672)])
+def test_relations_relabel_by_the_formula(n, cases, nontrivial):
+    # criterion 8 says the two sides agree up to some relabeling; the
+    # formula names it.  Every relabeling found here is its own inverse, so
+    # the reversed product formula(lhs) * formula(rhs)^-1 matches too: this
+    # pins the relabeling but not the order of its two factors.
+    pairs = relation_relabelings(n)
+    assert len(pairs) == cases
+    assert sum(not observed.is_identity() for observed, _ in pairs) \
+        == nontrivial
+    assert all((observed * observed).is_identity() for observed, _ in pairs)
+    assert [observed for observed, _ in pairs] \
+        == [predicted for _, predicted in pairs]
+
+
+def test_relation_relabelings_catch_a_dropped_transposition(monkeypatch):
+    drop_transposition(monkeypatch, X02)
+    for n, wrong in ((2, 2), (3, 12)):
+        assert sum(observed != predicted
+                   for observed, predicted in relation_relabelings(n)) == wrong
 
 
 def test_tracking_matches_refactoring_along_paths():

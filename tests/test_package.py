@@ -65,3 +65,38 @@ def test_benchmark_trace_targets_resolve():
         if holder is None or attr not in vars(holder):
             missing.append(f"{owner}.{attr}")
     assert missing == []
+
+
+FORMULA_NAMES = {"transposition_of", "formula_permutation",
+                 "check_preservation"}
+# the modules observations come from: none of them may see the formula
+OBSERVERS = ("perm", "quiver", "roots", "picture", "standard", "search")
+
+
+def test_only_formula_knows_the_formula():
+    package = Path(quiverperm.__file__).parent
+    # __init__ re-exports and cli reports; neither observes anything
+    paths = [p for p in sorted(package.glob("*.py"))
+             if p.stem not in ("__init__", "cli", "formula")]
+    assert set(OBSERVERS) <= {p.stem for p in paths}
+    leaks = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+                names = set()
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    base = "quiverperm" + (f".{base}" if base else "")
+                names = {alias.name for alias in node.names}
+                modules = {base} | {f"{base}.{name}" for name in names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                modules, names = set(), {node.name}
+            else:
+                continue
+            if path.stem in OBSERVERS and "quiverperm.formula" in modules:
+                leaks.append(f"{path.name} imports quiverperm.formula")
+            leaks += [f"{path.name}: {name}"
+                      for name in sorted(names & FORMULA_NAMES)]
+    assert leaks == []

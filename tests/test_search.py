@@ -5,16 +5,16 @@ from itertools import product
 
 import pytest
 
+import quiverperm.formula
 from quiverperm import (Color, ExchangeMatrix, MGSResult, Permutation,
                         PictureWord, Root, SignedGenerator, TrackedState,
-                        apply_sequence, build_exchange_graph,
+                        Verdict, apply_sequence, build_exchange_graph,
                         count_loops_by_replay, count_mgs,
                         count_reachable_states, enumerate_loops,
                         enumerate_mgs, find_row_permutation, framed,
                         graph_to_dot, is_all_red, is_standard, mgs_census,
-                        mutate, reconstructed_b, transposition_of,
+                        mutate, reconstructed_b, transposition_of, verify,
                         vertex_color)
-from quiverperm import search
 
 A2 = ExchangeMatrix.straight_a(2)
 
@@ -73,23 +73,25 @@ def mgs_by_tracked_walk(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerate_mgs_equals_the_walk_on_plain_mutate(n):
-    # the quotient-graph walk must list the same results in the same order
+    # the quotient-graph walk must list the same results in the same order;
+    # its permutations are observed and the walk's sigma is predicted, so
+    # this also checks the formula on every maximal green sequence
     assert enumerate_mgs(n) == mgs_by_tracked_walk(n)
 
 
 def test_enumerate_mgs_walks_the_observed_rho_not_the_formula(monkeypatch):
-    # with x02's transposition dropped from the prediction, the walk must
-    # still spell the same sequences and words; only permutations move
+    # with x02's transposition dropped from the formula, the listing must
+    # not move at all, and verify must still catch the corruption
     expected = enumerate_mgs(3)
     monkeypatch.setattr(
-        search, "transposition_of",
+        quiverperm.formula, "transposition_of",
         lambda g, n: Permutation.identity(n) if g == X02
         else transposition_of(g, n))
     broken = enumerate_mgs(3)
-    assert [(r.sequence, r.word) for r in broken] \
-        == [(r.sequence, r.word) for r in expected]
-    assert any(a.permutation != b.permutation
-               for a, b in zip(broken, expected))
+    assert broken == expected
+    start = framed(ExchangeMatrix.straight_a(3))
+    assert any(verify(start, r.sequence).verdict is Verdict.MISMATCH
+               for r in broken)
 
 
 def test_mgs_antichain_and_order():
@@ -130,6 +132,12 @@ def test_count_mgs_agrees_with_enumeration(n, expected):
     assert count_mgs(n) == len(enumerate_mgs(n)) == expected
 
 
+@pytest.mark.slow
+def test_count_mgs_agrees_with_enumeration_past_the_cli_bound():
+    # the size bound belongs to the CLI; the library enumerates n = 6
+    assert len(enumerate_mgs(6)) == count_mgs(6) == 340549
+
+
 def test_mgs_census():
     assert mgs_census(2) == {
         "n": 2, "count": 2,
@@ -142,8 +150,6 @@ def test_mgs_census():
     assert census3["lengths"] == {3: 1, 4: 4, 5: 2, 6: 2}
     assert census3["permutations"] == {
         "(12)": 2, "(123)": 2, "(13)": 2, "(23)": 2, "id": 1}
-    with pytest.raises(ValueError, match="MAX_N=5"):
-        mgs_census(6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -165,11 +171,6 @@ def test_graph_node_counts(n, expected):
     graph = build_exchange_graph(n)
     assert graph.node_count == expected
     assert count_reachable_states(n) == expected
-
-
-def test_graph_bound():
-    with pytest.raises(ValueError, match="MAX_N=5"):
-        build_exchange_graph(6)
 
 
 def test_graph_edges_are_involutive():
