@@ -25,8 +25,8 @@ from typing import NamedTuple
 from .perm import Permutation, _trusted
 from .picture import PictureWord
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
-                     apply_sequence, find_row_permutation, framed, mutate,
-                     permute_rows, reconstructed_b, vertex_color)
+                     _reconstructor, apply_sequence, find_row_permutation,
+                     framed, mutate, permute_rows, vertex_color)
 from .roots import SignedGenerator, vector_to_signed_root
 from .standard import factor_standard
 
@@ -50,8 +50,16 @@ class ExchangeGraph(NamedTuple):
 
 def build_exchange_graph(n: int) -> ExchangeGraph:
     """Breadth-first closure of the framed straight-A_n state under mutation:
-    n plain ``mutate`` calls per state."""
+    n plain ``mutate`` calls per state.
+
+    Two checks run on the way.  A new node's b-part must equal C B0 C^t,
+    read from a table of x B0 y^t on pairs of its c-rows that is filled as
+    pairs appear and dropped when the call returns; a revisited node must
+    equal the state stored for its c-matrix.  Either failure raises
+    ``AssertionError``.
+    """
     b0 = ExchangeMatrix.straight_a(n)
+    reconstruct = _reconstructor(b0.b)
     states = [framed(b0)]
     index = {states[0].c: 0}
     edges = []
@@ -61,7 +69,7 @@ def build_exchange_graph(n: int) -> ExchangeGraph:
             neighbor = mutate(state, k)
             i = index.get(neighbor.c)
             if i is None:
-                if neighbor.b != reconstructed_b(b0.b, neighbor.c):
+                if neighbor.b != reconstruct(neighbor.c):
                     raise AssertionError(
                         "b-part disagrees with C B0 C^t at a new node")
                 i = index[neighbor.c] = len(states)

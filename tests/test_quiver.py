@@ -9,7 +9,7 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         is_all_red, mutate, permute_rows,
                         reconstructed_b, state_to_dot, state_to_json,
                         vertex_color)
-from quiverperm.quiver import matrix_from_json
+from quiverperm.quiver import _reconstructor, matrix_from_json
 
 A1 = ExchangeMatrix.straight_a(1)
 A2 = ExchangeMatrix.straight_a(2)
@@ -130,13 +130,14 @@ def test_vertex_color_rejects_mixed_signs():
 
 
 @st.composite
-def skew_symmetric(draw):
-    """A random skew-symmetric exchange matrix, n <= 5, entries in -3..3."""
-    n = draw(st.integers(1, 5))
+def skew_symmetric(draw, max_n=5, bound=3):
+    """A random skew-symmetric exchange matrix, n <= max_n, entries in
+    -bound..bound."""
+    n = draw(st.integers(1, max_n))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = draw(st.integers(-3, 3))
+            rows[i][j] = draw(st.integers(-bound, bound))
             rows[j][i] = -rows[i][j]
     return ExchangeMatrix(tuple(map(tuple, rows)))
 
@@ -194,17 +195,6 @@ def test_permutation_equivariance_of_mutation():
                         == permute_rows(mutate(m, k), rho))
 
 
-@st.composite
-def skew_symmetric(draw, max_n=5, bound=3):
-    n = draw(st.integers(1, max_n))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = draw(st.integers(-bound, bound))
-            rows[j][i] = -rows[i][j]
-    return ExchangeMatrix(tuple(tuple(row) for row in rows))
-
-
 @given(skew_symmetric(), st.data())
 def test_permutation_equivariance_of_mutation_any_exchange_matrix(b0, data):
     # the same identity for exchange matrices of any type, from a state a
@@ -254,6 +244,20 @@ def test_reconstructed_b():
     assert reconstructed_b(A2.b, m.c) == m.b
     for state in reachable(3, 4):
         assert reconstructed_b(A3.b, state.c) == state.b
+
+
+@given(skew_symmetric(), st.data())
+def test_reconstructor_table_matches_reconstructed_b(b0, data):
+    # c-matrices drawn from a small pool of rows, so later ones read pairs
+    # the table already holds, in new combinations
+    n = b0.n
+    pool = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                              min_size=1, max_size=4))
+    reconstruct = _reconstructor(b0.b)
+    for _ in range(data.draw(st.integers(1, 6))):
+        c = tuple(data.draw(st.lists(st.sampled_from(pool),
+                                     min_size=n, max_size=n)))
+        assert reconstruct(c) == reconstructed_b(b0.b, c)
 
 
 def test_json_round_trip():

@@ -19,8 +19,8 @@ import pytest
 from quiverperm import (Color, ExchangeMatrix, Permutation, Root,
                         SignedGenerator, coframed, count_mgs, enumerate_mgs,
                         is_all_red, is_standard, quotient_graph,
-                        transposition_of, vector_to_signed_root,
-                        vertex_color)
+                        reconstructed_b, transposition_of, validate_c_matrix,
+                        vector_to_signed_root, vertex_color)
 
 X02 = SignedGenerator(Root(0, 2))
 
@@ -56,6 +56,17 @@ def test_quotient_has_one_all_red_node_the_coframe(n):
             == [vertex_color(node, p) is Color.GREEN for p in range(1, n + 1)]
     red = [node.c for node in graph.nodes if is_all_red(node)]
     assert red == [coframed(ExchangeMatrix.straight_a(n)).c]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_quotient_nodes_are_valid_and_determine_their_b_parts(n):
+    # acceptance criterion 6 checks every state of the full exchange graph
+    # for n <= 4; both properties survive moving rows, so Q's nodes stand
+    # for all n!·Catalan(n+1) states one rank or two further on
+    b0 = ExchangeMatrix.straight_a(n).b
+    for node in quotient(n).nodes:
+        assert validate_c_matrix(node.c) == ()
+        assert node.b == reconstructed_b(b0, node.c)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

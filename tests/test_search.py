@@ -6,9 +6,11 @@ from itertools import product
 import pytest
 
 import quiverperm.formula
-from quiverperm import (Color, ExchangeMatrix, MGSResult, Permutation,
-                        PictureWord, Root, SignedGenerator, TrackedState,
-                        Verdict, apply_sequence, build_exchange_graph,
+import quiverperm.search
+from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
+                        MGSResult, Permutation, PictureWord, Root,
+                        SignedGenerator, TrackedState, Verdict,
+                        apply_sequence, build_exchange_graph,
                         count_loops_by_replay, count_mgs,
                         count_reachable_states, enumerate_loops,
                         enumerate_mgs, find_row_permutation, framed,
@@ -166,7 +168,8 @@ def test_build_exchange_graph_rank1():
     assert graph.edges == ((1,), (0,))
 
 
-@pytest.mark.parametrize("n,expected", [(1, 2), (2, 10), (3, 84)])
+@pytest.mark.parametrize("n,expected",
+                         [(1, 2), (2, 10), (3, 84), (4, 1008)])
 def test_graph_node_counts(n, expected):
     graph = build_exchange_graph(n)
     assert graph.node_count == expected
@@ -184,11 +187,41 @@ def test_graph_edges_are_involutive():
             assert states[j] == mutate(states[i], k)
 
 
-def test_graph_states_are_consistent():
-    b0 = ExchangeMatrix.straight_a(3).b
-    for key, state in build_exchange_graph(3).nodes.items():
+@pytest.mark.parametrize("n", [1, 2, 3, 4,
+                               pytest.param(5, marks=pytest.mark.slow)])
+def test_graph_states_are_consistent(n):
+    # the builder checks b-parts through its table of row pairs; this
+    # recomputes each from scratch
+    b0 = ExchangeMatrix.straight_a(n).b
+    for key, state in build_exchange_graph(n).nodes.items():
         assert state.c == key
         assert state.b == reconstructed_b(b0, key)
+
+
+def corrupted_b(state):
+    """``state`` with b-entries (1, 2) and (2, 1) moved by one, so the
+    b-part stays skew-symmetric but no longer matches the c-part."""
+    b = [list(row) for row in state.b]
+    b[0][1] += 1
+    b[1][0] -= 1
+    return ExtendedExchangeMatrix(tuple(map(tuple, b)), state.c)
+
+
+@pytest.mark.parametrize("corrupted,message", [
+    # mutating the framed state at 1 reaches a c-matrix no earlier step has
+    (mutate(framed(A2), 1).c, "b-part disagrees"),
+    # the build starts at the framed state, so any mutation that lands on
+    # its c-matrix revisits it
+    (framed(A2).c, "different b-parts"),
+], ids=["new-node", "revisited-node"])
+def test_graph_build_rejects_a_wrong_b_part(monkeypatch, corrupted, message):
+    def broken(state, k):
+        out = mutate(state, k)
+        return corrupted_b(out) if out.c == corrupted else out
+
+    monkeypatch.setattr(quiverperm.search, "mutate", broken)
+    with pytest.raises(AssertionError, match=message):
+        build_exchange_graph(2)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 2), (2, 5), (3, 14), (4, 42)])
