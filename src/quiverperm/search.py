@@ -9,9 +9,10 @@ Counting functions deliberately use a different traversal style than their
 enumerating counterparts (breadth-first level counts against depth-first
 listings, flat replay against prefix-sharing search) so that agreement
 between the two is evidence, not tautology.  ``enumerate_mgs`` walks the
-standard quotient graph of ``quotient_graph``; every counting function
-mutates plain states.  Permutations here are observed, never predicted:
-the transposition formula is not visible to this module.
+standard quotient graph of ``quotient_graph``, and ``mgs_census`` reads its
+counts off the same graph without listing; ``count_mgs`` and the other
+counting functions mutate plain states.  Permutations here are observed,
+never predicted: the transposition formula is not visible to this module.
 """
 
 from __future__ import annotations
@@ -284,13 +285,37 @@ def count_loops_by_replay(m: ExtendedExchangeMatrix, max_len: int) -> int:
 
 def mgs_census(n: int) -> dict:
     """Count, length histogram, permutation histogram and length range of
-    the maximal green sequences of straight A_n."""
-    results = enumerate_mgs(n)
-    lengths = Counter(len(r.sequence) for r in results)
-    perms = Counter(r.permutation.cycle_string() for r in results)
+    the maximal green sequences of straight A_n, with none listed.
+
+    A maximal green sequence is a path of green edges on
+    ``quotient_graph(n)`` from the framed node to the coframe, and its
+    permutation is rho_1 o ... o rho_L along the path.  So a memoized DP
+    counts each node's walks by (pi, length): those of each green edge's
+    target with the edge's ``rho`` composed on the left, or one (id, 0) at
+    the coframe.  It recurses at most n(n+1)/2 deep.
+    """
+    edges = quotient_graph(n).edges
+
+    # the memo is passed in, not closed over, as in enumerate_mgs
+    def walks(i: int, memo: dict) -> Counter:
+        out = memo.get(i)
+        if out is None:
+            out = Counter()
+            for edge in edges[i]:
+                if edge.generator.delta > 0:
+                    for (pi, length), count in walks(edge.target,
+                                                     memo).items():
+                        out[edge.rho * pi, length + 1] += count
+            out = memo[i] = out or Counter({(Permutation.identity(n), 0): 1})
+        return out
+
+    lengths, perms = Counter(), Counter()
+    for (pi, length), count in walks(0, {}).items():
+        lengths[length] += count
+        perms[pi.cycle_string()] += count
     return {
         "n": n,
-        "count": len(results),
+        "count": sum(lengths.values()),
         "lengths": dict(sorted(lengths.items())),
         "permutations": dict(sorted(perms.items())),
         "min_length": min(lengths),

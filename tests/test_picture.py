@@ -9,22 +9,14 @@ from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
                         permute_rows, relation_holds_on, relations,
                         word_from_sequence)
 
+from reachable_states import reachable
+
 A2 = ExchangeMatrix.straight_a(2)
 A3 = ExchangeMatrix.straight_a(3)
 
 X01 = SignedGenerator(Root(0, 1))
 X02 = SignedGenerator(Root(0, 2))
 X12 = SignedGenerator(Root(1, 2))
-
-
-def reachable(n):
-    start = framed(ExchangeMatrix.straight_a(n))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        frontier = [s for m in frontier for k in range(1, n + 1)
-                    if (s := mutate(m, k)) not in seen and not seen.add(s)]
-    return sorted(seen, key=lambda m: m.c)
 
 
 def test_generator_str():

@@ -11,20 +11,11 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         vertex_color)
 from quiverperm.quiver import _reconstructor, matrix_from_json
 
+from reachable_states import reachable
+
 A1 = ExchangeMatrix.straight_a(1)
 A2 = ExchangeMatrix.straight_a(2)
 A3 = ExchangeMatrix.straight_a(3)
-
-
-def reachable(n, depth):
-    """All states within ``depth`` mutations of the framed quiver."""
-    start = framed(ExchangeMatrix.straight_a(n))
-    seen = {start}
-    frontier = [start]
-    for _ in range(depth):
-        frontier = [nxt for m in frontier for k in range(1, n + 1)
-                    if (nxt := mutate(m, k)) not in seen and not seen.add(nxt)]
-    return sorted(seen, key=lambda m: m.c)
 
 
 def test_straight_orientation():

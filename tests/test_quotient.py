@@ -1,7 +1,7 @@
 """The standard quotient graph Q, which ``quotient_graph`` builds from plain
-``mutate`` and ``enumerate_mgs`` walks: its nodes, its edges against the
-formula's transpositions, and counts read off Q, each checked against a
-route that does not use Q.
+``mutate`` and which ``enumerate_mgs`` and ``mgs_census`` walk: its nodes,
+its edges against the formula's transpositions, and counts read off Q, each
+checked against a route that does not use Q.
 
 Every reachable state of straight A_n is a standard state S with its rows
 moved by some pi, and mutating it at vertex k mutates S at row
@@ -17,9 +17,10 @@ import math
 import pytest
 
 from quiverperm import (Color, ExchangeMatrix, Permutation, Root,
-                        SignedGenerator, coframed, count_mgs, enumerate_mgs,
-                        is_all_red, is_standard, quotient_graph,
-                        reconstructed_b, transposition_of, validate_c_matrix,
+                        SignedGenerator, build_exchange_graph, coframed,
+                        count_mgs, enumerate_loops, is_all_red, is_standard,
+                        mgs_census, quotient_graph, reconstructed_b,
+                        transposition_of, validate_c_matrix,
                         vector_to_signed_root, vertex_color)
 
 X02 = SignedGenerator(Root(0, 2))
@@ -106,36 +107,24 @@ def loop_count_by_transfer_matrix(n, max_len):
     return math.factorial(n) * closed
 
 
-@pytest.mark.parametrize("max_len,expected", [(7, 17100), (8, 81288)])
-def test_loop_count_by_transfer_matrix(max_len, expected):
-    # 17100 is the loop-verify benchmark's total, 81288 criterion 3's
-    assert loop_count_by_transfer_matrix(3, max_len) == expected
+@pytest.mark.parametrize("n,max_len,expected",
+                         [(3, 7, 17100), (3, 8, 81288), (4, 7, 601440)])
+def test_loop_count_by_transfer_matrix(n, max_len, expected):
+    # 17100 is the loop-verify benchmark's total, 81288 criterion 3's;
+    # 601440 is frozen, and the slow tier recounts it by enumeration
+    assert loop_count_by_transfer_matrix(n, max_len) == expected
 
 
-def mgs_count_by_dp(n):
-    """Maximal green sequences from the framed node: a node without green
-    rows ends one sequence; otherwise count(S) is the sum of count(S') over
-    the targets of its green rows."""
-    graph = quotient(n)
-    memo = {}
-
-    def count(i):
-        if i not in memo:
-            node = graph.nodes[i]
-            greens = [edge.target for p, edge in
-                      enumerate(graph.edges[i], start=1)
-                      if vertex_color(node, p) is Color.GREEN]
-            memo[i] = sum(map(count, greens)) if greens else 1
-        return memo[i]
-
-    return count(0)
+@pytest.mark.slow
+def test_loop_count_rank4_by_enumeration():
+    # the depth-first loop search from each of the 1008 states, sharing no
+    # traversal code with Q or the transfer matrix
+    states = build_exchange_graph(4).nodes.values()
+    assert sum(len(enumerate_loops(s, 7)) for s in states) == 601440
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_mgs_count_by_dp(n):
-    assert mgs_count_by_dp(n) == count_mgs(n) == len(enumerate_mgs(n))
-
-
-def test_mgs_count_by_dp_rank6():
-    # frozen: no closed form is on hand, so two routes must agree
-    assert mgs_count_by_dp(6) == count_mgs(6) == 340549
+@pytest.mark.parametrize("n,expected", [(6, 340549), (7, 216569887)])
+def test_mgs_census_count_agrees_with_count_mgs(n, expected):
+    # frozen past the CLI bound: no closed form is on hand, so the DP on Q
+    # and the breadth-first count on plain states must agree
+    assert mgs_census(n)["count"] == count_mgs(n) == expected

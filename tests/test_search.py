@@ -1,6 +1,8 @@
 import gc
+import math
 import sys
 import weakref
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -134,10 +136,28 @@ def test_count_mgs_agrees_with_enumeration(n, expected):
     assert count_mgs(n) == len(enumerate_mgs(n)) == expected
 
 
+def listing_census(results):
+    """The lengths and permutations of listed maximal green sequences."""
+    return (Counter(len(r.sequence) for r in results),
+            Counter(r.permutation.cycle_string() for r in results))
+
+
 @pytest.mark.slow
 def test_count_mgs_agrees_with_enumeration_past_the_cli_bound():
     # the size bound belongs to the CLI; the library enumerates n = 6
-    assert len(enumerate_mgs(6)) == count_mgs(6) == 340549
+    results = enumerate_mgs(6)
+    assert len(results) == count_mgs(6) == 340549
+    census = mgs_census(6)
+    assert (census["lengths"], census["permutations"]) \
+        == listing_census(results)
+
+
+CENSUS3 = {
+    "n": 3, "count": 9,
+    "lengths": {3: 1, 4: 4, 5: 2, 6: 2},
+    "permutations": {"(12)": 2, "(123)": 2, "(13)": 2, "(23)": 2, "id": 1},
+    "min_length": 3, "max_length": 6,
+}
 
 
 def test_mgs_census():
@@ -147,11 +167,27 @@ def test_mgs_census():
         "permutations": {"(12)": 1, "id": 1},
         "min_length": 2, "max_length": 3,
     }
-    census3 = mgs_census(3)
-    assert census3["count"] == 9
-    assert census3["lengths"] == {3: 1, 4: 4, 5: 2, 6: 2}
-    assert census3["permutations"] == {
-        "(12)": 2, "(123)": 2, "(13)": 2, "(23)": 2, "id": 1}
+    assert mgs_census(3) == CENSUS3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_mgs_census_matches_the_listing(n):
+    # the census never lists a sequence; enumerate_mgs lists each one
+    results = enumerate_mgs(n)
+    lengths, perms = listing_census(results)
+    assert mgs_census(n) == {
+        "n": n, "count": len(results),
+        "lengths": lengths, "permutations": perms,
+        "min_length": min(lengths), "max_length": max(lengths),
+    }
+
+
+def test_mgs_census_lists_no_sequence(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the census listed the sequences")
+
+    monkeypatch.setattr(quiverperm.search, "enumerate_mgs", refuse)
+    assert mgs_census(3) == CENSUS3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -174,6 +210,13 @@ def test_graph_node_counts(n, expected):
     graph = build_exchange_graph(n)
     assert graph.node_count == expected
     assert count_reachable_states(n) == expected
+
+
+@pytest.mark.slow
+def test_reachable_state_count_rank6():
+    # n! relabelings of each of the Catalan(n+1) standard states
+    catalan7 = math.comb(14, 7) // 8
+    assert count_reachable_states(6) == math.factorial(6) * catalan7 == 308880
 
 
 def test_graph_edges_are_involutive():

@@ -8,19 +8,13 @@ from quiverperm import (ExchangeMatrix, Permutation, Root, SignedGenerator,
                         factor_standard, framed, is_standard, mutate,
                         vector_to_signed_root)
 
+from reachable_states import reachable
+
 A2 = ExchangeMatrix.straight_a(2)
 
 
 def reachable_c(n, depth=None):
-    start = framed(ExchangeMatrix.straight_a(n))
-    seen = {start}
-    frontier = [start]
-    while frontier and (depth is None or depth > 0):
-        frontier = [s for m in frontier for k in range(1, n + 1)
-                    if (s := mutate(m, k)) not in seen and not seen.add(s)]
-        if depth is not None:
-            depth -= 1
-    return sorted(s.c for s in seen)
+    return [m.c for m in reachable(n, depth)]
 
 
 def test_is_standard_examples():
