@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional
 
-from .formula import TrackedState, Verdict, verify
+from .formula import PrefixWalk, TrackedState, Verdict, verify
 from .picture import PictureWord
 from .quiver import (ExchangeMatrix, apply_sequence, format_matrix,
                      format_state, framed, matrix_from_json, state_to_dot,
@@ -101,10 +101,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_depth:
         checks.extend(("loop", r.sequence)
                       for r in enumerate_loops(start, args.max_depth))
+    walk = PrefixWalk(start)
     failures = []
     with _output(args.output_path) as fp:
         for kind, seq in checks:
-            report = verify(start, seq, corrupt=args.corrupt_formula)
+            report = verify(start, seq, corrupt=args.corrupt_formula,
+                            walk=walk)
             if report.verdict is not Verdict.MATCH:
                 failures.append((kind, seq))
             if args.format == "json":
@@ -250,6 +252,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ValueError("--max-depth must be nonnegative")
         if args.command in ("verify", "census", "export-dot") and n > MAX_N:
             raise ValueError(f"n={n} exceeds the size bound MAX_N={MAX_N}")
+        # the corrupted prediction multiplies by (1 2), which needs two points
+        if getattr(args, "corrupt_formula", False) and n < 2:
+            raise ValueError("--corrupt-formula needs --n >= 2")
         return args.run(args)
     except (ValueError, IndexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,19 +7,23 @@ relabeling of mutable vertices is
 
     sigma o t_1 o t_2 o ... o t_N o sigma^{-1}
 
-A ``TrackedState`` follows sigma step by step, sigma <- sigma o (i+1 j),
-because each such step keeps the c-matrix standard (``check_preservation``);
-after a sequence it holds sigma o t_1 o ... o t_N.  ``verify`` walks each
-sequence once and takes its prediction from that walk;
-``formula_permutation`` is the closed form above, the reference the tracked
-prediction is tested against.  The walk's states come from plain
+A walk follows sigma step by step, sigma <- sigma o (i+1 j), because each
+such step keeps the c-matrix standard (``check_preservation``); after a
+sequence it holds sigma o t_1 o ... o t_N.  ``TrackedState`` and
+``PrefixWalk`` take the same step, ``_advance``.  ``verify`` takes its
+prediction from a ``PrefixWalk``, which sequences checked together share:
+each common prefix is mutated once, so ``verify --n 5`` mutates 11871
+times for the 33805 steps of its 2981 maximal green sequences.
+``formula_permutation`` is the closed form above, the reference the
+tracked prediction is tested against.  The walk's states come from plain
 ``mutate``, so the formula decides only the tracked sigma, never which
 state comes next.  Every sequence is compared with one independent
 observation: the permutation part of the endpoint's c-matrix, refactored
 from scratch, times the inverse of the start's.  On a loop this is the row
 permutation from the start to the endpoint, and on a reddening sequence
 from the framed start the row permutation from the coframe.  The
-observation is read off the endpoint alone, never from the tracked sigma.
+observation is read off the endpoint alone, never from the tracked sigma
+or from another sequence.
 No other module knows the transpositions, so no other one predicts.
 """
 
@@ -28,9 +32,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .perm import Permutation
+from .perm import Permutation, _trusted
 from .picture import PictureWord, act, step
 from .quiver import ExtendedExchangeMatrix, permute_rows
 from .roots import SignedGenerator
@@ -64,6 +68,25 @@ def formula_permutation(w: PictureWord, sigma: Permutation) -> Permutation:
     return acc * sigma.inverse()
 
 
+def _factored_sigma(m: ExtendedExchangeMatrix) -> Permutation:
+    """The permutation part of ``m``'s c-matrix, factored from scratch."""
+    fact = factor_standard(m.c)
+    if fact is None:
+        raise ValueError("c-matrix does not factor through a standard matrix")
+    return fact.rho
+
+
+def _advance(state: ExtendedExchangeMatrix, images: tuple[int, ...],
+             k: int) -> tuple[ExtendedExchangeMatrix, tuple[int, ...],
+                              SignedGenerator]:
+    """The one step of every walk: plain ``mutate`` at ``k`` (through
+    ``step``), and sigma's images composed with the transposition of the
+    generator the step spells, read from ``transposition_of`` each time."""
+    g, state = step(state, k)
+    t = transposition_of(g, len(images)).images
+    return state, tuple([images[y - 1] for y in t]), g
+
+
 @dataclass(frozen=True)
 class TrackedState:
     """A state together with the permutation part of its c-matrix and the
@@ -79,21 +102,59 @@ class TrackedState:
 
     @classmethod
     def from_state(cls, m: ExtendedExchangeMatrix) -> "TrackedState":
-        fact = factor_standard(m.c)
-        if fact is None:
-            raise ValueError("c-matrix does not factor through a standard matrix")
-        return cls(m, fact.rho)
+        return cls(m, _factored_sigma(m))
 
     def step_vertex(self, k: int) -> "TrackedState":
         return self.run((k,))
 
     def run(self, seq: Sequence[int]) -> "TrackedState":
-        state, sigma, factors = self.state, self.sigma, list(self.factors)
+        state, images = self.state, self.sigma.images
+        factors = list(self.factors)
         for k in seq:
-            g, state = step(state, k)
-            sigma = sigma * transposition_of(g, state.n)
+            state, images, g = _advance(state, images, k)
             factors.append(g)
-        return TrackedState(state, sigma, tuple(factors))
+        return TrackedState(state, _trusted(images), tuple(factors))
+
+
+class PrefixWalk:
+    """Many sequences from one start, each common prefix walked once.
+
+    A stack holds the start's entry and one (state, sigma images,
+    generator) entry per step of the sequence walked last.  ``to(seq)``
+    cuts it back to the longest common prefix of ``seq`` and that
+    sequence, then steps on with ``_advance``.  Sequences given in
+    depth-first order, as the enumerations list them, therefore mutate
+    each distinct prefix once, and the stack never holds more states than
+    the current sequence has steps, plus one.
+    """
+
+    __slots__ = ("start", "sigma", "_vertices", "_stack")
+
+    def __init__(self, m: ExtendedExchangeMatrix):
+        self.start = m
+        self.sigma = _factored_sigma(m)
+        self._vertices: list[int] = []
+        self._stack = [(m, self.sigma.images, None)]
+
+    def to(self, seq: Sequence[int]) -> tuple[
+            ExtendedExchangeMatrix, tuple[int, ...],
+            tuple[SignedGenerator, ...]]:
+        """The endpoint of ``seq``, the images of its tracked sigma and the
+        generators it spells, in application order."""
+        vertices, stack = self._vertices, self._stack
+        common = 0
+        for old, new in zip(vertices, seq):
+            if old != new:
+                break
+            common += 1
+        del vertices[common:]
+        del stack[common + 1:]
+        top = stack[-1]
+        for k in seq[common:]:
+            top = _advance(top[0], top[1], k)
+            stack.append(top)
+            vertices.append(k)
+        return top[0], top[1], tuple([entry[2] for entry in stack[1:]])
 
 
 class Verdict(Enum):
@@ -120,28 +181,36 @@ class FormulaReport:
 
 
 def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
-           corrupt: bool = False) -> FormulaReport:
+           corrupt: bool = False,
+           walk: Optional[PrefixWalk] = None) -> FormulaReport:
     """Predict the permutation of one sequence and compare it.
 
-    The sequence is walked once, by ``TrackedState.run``; the prediction is
-    the tracked sigma at the end times the inverse of the one at the start,
-    which is ``formula_permutation`` of the word the walk spells.  The
-    observation is independent of the prediction: the endpoint's c-matrix
-    is factored from scratch with ``factor_standard``, and its permutation
-    part times the inverse of the start's is compared, never the tracked
-    sigma.  Raises ``ValueError`` when the starting or the ending c-matrix
-    does not factor through a standard matrix.
+    The sequence is walked on ``walk``, a ``PrefixWalk`` from ``m`` that
+    callers checking many sequences share, so that each common prefix is
+    mutated once; without one, a walk is made for this sequence alone.
+    The prediction is the tracked sigma at the end times the inverse of
+    the one at the start, which is ``formula_permutation`` of the word the
+    walk spells.  The observation is independent of the prediction and of
+    any other sequence: the endpoint's c-matrix is factored from scratch
+    with ``factor_standard``, and its permutation part times the inverse
+    of the start's is compared, never the tracked sigma.  Raises
+    ``ValueError`` when the walk was started at a state other than ``m``,
+    or when the starting or the ending c-matrix does not factor through a
+    standard matrix.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
     """
-    start = TrackedState.from_state(m)
-    end = start.run(seq)
-    word = PictureWord(end.factors)
-    back = start.sigma.inverse()
-    predicted = end.sigma * back
+    if walk is None:
+        walk = PrefixWalk(m)
+    elif walk.start != m:
+        raise ValueError("the walk was started at a different state")
+    end, images, factors = walk.to(seq)
+    back = walk.sigma.inverse()
+    predicted = _trusted(images) * back
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
-    observed = TrackedState.from_state(end.state).sigma * back
+    observed = _factored_sigma(end) * back
     verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
-    return FormulaReport(word, start.sigma, predicted, observed, verdict)
+    return FormulaReport(PictureWord(factors), walk.sigma, predicted,
+                         observed, verdict)

@@ -10,9 +10,9 @@ import time
 from collections import Counter
 from functools import lru_cache
 
-from quiverperm import (ExchangeMatrix, Permutation, Root, RelationVerdict,
-                        SignedGenerator, TrackedState, Verdict, act,
-                        all_roots, allowed, apply_sequence,
+from quiverperm import (ExchangeMatrix, Permutation, PrefixWalk, Root,
+                        RelationVerdict, SignedGenerator, TrackedState,
+                        Verdict, act, all_roots, allowed, apply_sequence,
                         build_exchange_graph, check_preservation, coframed,
                         count_loops_by_replay, count_mgs,
                         count_reachable_states, enumerate_loops,
@@ -106,8 +106,10 @@ def test_criterion_03_formula_on_every_loop(capsys):
         total = 0
         for state in graph(3).nodes.values():
             sigma = factor_standard(state.c).rho
+            # the loops of one basepoint share their prefixes on one walk
+            walk = PrefixWalk(state)
             for loop in enumerate_loops(state, max_len=8):
-                report = verify(state, loop.sequence)
+                report = verify(state, loop.sequence, walk=walk)
                 assert report.verdict is Verdict.MATCH
                 assert report.sigma == sigma
                 assert report.observed_perm == loop.permutation

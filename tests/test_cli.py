@@ -150,6 +150,24 @@ def test_verify_corrupt_formula_fails(capsys):
     assert "mismatch: mgs 1 2" in err
 
 
+def test_verify_corrupt_formula_mismatches_every_sequence(capsys):
+    # the negative control runs on the shared walk: every line mismatches
+    code, out, err = run(capsys, "verify", "--n", "4", "--corrupt-formula")
+    assert code == 1
+    *lines, summary = out.splitlines()
+    assert summary == "98 sequences checked, 98 mismatches"
+    assert len(lines) == 98
+    assert all(": mismatch (formula " in line for line in lines)
+    assert len(err.splitlines()) == 98
+
+
+def test_verify_corrupt_formula_needs_two_vertices(capsys):
+    code, out, err = run(capsys, "verify", "--n", "1", "--corrupt-formula")
+    assert code == 2
+    assert err == "error: --corrupt-formula needs --n >= 2\n"
+    assert out == ""
+
+
 def test_verify_json(capsys):
     code, out, err = run(capsys, "verify", "--n", "2", "--format", "json")
     assert code == 0

@@ -1,14 +1,17 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 import quiverperm.formula
+import quiverperm.picture
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
-                        PictureWord, Root, SignedGenerator, TrackedState,
-                        Verdict, apply_sequence, build_exchange_graph,
-                        act_word, coframed, enumerate_loops, enumerate_mgs,
+                        PictureWord, PrefixWalk, Root, SignedGenerator,
+                        TrackedState, Verdict, apply_sequence,
+                        build_exchange_graph, act_word, coframed,
+                        enumerate_loops, enumerate_mgs,
                         factor_standard, find_row_permutation,
                         formula_permutation, framed, is_all_red, mutate,
                         relations, transposition_of, verify,
@@ -290,6 +293,111 @@ def test_verify_one_walk_matches_standalone_pieces():
                 state, loop.sequence,
                 find_row_permutation(state,
                                      apply_sequence(state, loop.sequence)))
+
+
+def assert_shared_walk_matches_standalone(m, sequences):
+    """Every report from one walk shared by ``sequences`` equals what the
+    standalone replays compute for its sequence alone, and the one-use
+    walk's report."""
+    walk = PrefixWalk(m)
+    sigma = factor_standard(m.c).rho
+    for seq in sequences:
+        report = verify(m, seq, walk=walk)
+        word = word_from_sequence(m, seq)
+        end = apply_sequence(m, seq)
+        assert walk.to(seq)[0] == end
+        assert report.word == word
+        assert report.sigma == sigma
+        assert report.formula_perm == formula_permutation(word, sigma)
+        assert report.observed_perm \
+            == factor_standard(end.c).rho * sigma.inverse()
+        assert report.verdict is Verdict.MATCH
+        assert report == verify(m, seq)
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_shared_walk_matches_standalone_on_mgs(order):
+    # sorted neighbours share long prefixes; shuffled ones share little,
+    # so the walk cuts back to every depth
+    sequences = sorted(r.sequence for r in enumerate_mgs(4))
+    if order == "shuffled":
+        random.Random(4).shuffle(sequences)
+    assert len(sequences) == 98
+    assert_shared_walk_matches_standalone(
+        framed(ExchangeMatrix.straight_a(4)), sequences)
+
+
+def test_shared_walk_matches_standalone_on_loops():
+    for state in build_exchange_graph(3).nodes.values():
+        assert_shared_walk_matches_standalone(
+            state, [loop.sequence for loop in enumerate_loops(state, 5)])
+
+
+@given(st.integers(1, 5), st.data())
+def test_shared_walk_matches_standalone_on_random_sequences(n, data):
+    # each sequence keeps a drawn prefix of the one before and extends it,
+    # so the walk both shares and cuts back
+    vertices = st.lists(st.integers(1, n), max_size=8)
+    m = apply_sequence(framed(ExchangeMatrix.straight_a(n)),
+                       data.draw(vertices))
+    sequences, previous = [], ()
+    for keep, tail in data.draw(st.lists(
+            st.tuples(st.integers(0, 8), vertices), max_size=6)):
+        previous = previous[:keep] + tuple(tail)
+        sequences.append(previous)
+    assert_shared_walk_matches_standalone(m, sequences)
+
+
+def test_shared_walk_edge_cases():
+    # from an unframed start: a long sequence, then the empty one, a strict
+    # prefix of the one before, the same sequence twice, and a long one
+    # again
+    m = apply_sequence(framed(ExchangeMatrix.straight_a(3)), (2, 1))
+    long = (1, 2, 3, 1, 2, 3, 2, 1, 3, 2, 1, 2)
+    assert_shared_walk_matches_standalone(
+        m, [long, (), long, long[:5], long[:2], long[:2], (), (3,), long])
+    # a vertex out of range stops the walk after the steps before it, and
+    # the walk goes on from there
+    walk = PrefixWalk(m)
+    with pytest.raises(IndexError):
+        verify(m, long[:3] + (4,), walk=walk)
+    assert verify(m, long, walk=walk) == verify(m, long)
+
+
+def test_shared_walk_mutates_each_distinct_prefix_once(monkeypatch):
+    calls = []
+    real = quiverperm.picture.mutate
+    monkeypatch.setattr(quiverperm.picture, "mutate",
+                        lambda m, k: calls.append(k) or real(m, k))
+    sequences = [r.sequence for r in enumerate_mgs(4)]
+    m = framed(ExchangeMatrix.straight_a(4))
+    walk = PrefixWalk(m)
+    for seq in sequences:
+        verify(m, seq, walk=walk)
+    prefixes = {seq[:i] for seq in sequences for i in range(1, len(seq) + 1)}
+    assert len(calls) == len(prefixes) < sum(map(len, sequences))
+
+
+def test_walk_rejects_a_different_start():
+    m = framed(A2)
+    walk = PrefixWalk(m)
+    with pytest.raises(ValueError, match="different state"):
+        verify(mutate(m, 1), (1,), walk=walk)
+    # an equal state is the same start
+    assert verify(framed(A2), (2, 1, 2), walk=walk).verdict is Verdict.MATCH
+
+
+def test_shared_walk_reads_the_transpositions_at_each_step(monkeypatch):
+    # negative control: a walk made before x02's transposition is dropped
+    # still predicts without it, so (2, 1, 2) mismatches
+    m = framed(A2)
+    walk = PrefixWalk(m)
+    assert verify(m, (2,), walk=walk).verdict is Verdict.MATCH
+    drop_transposition(monkeypatch, X02)
+    report = verify(m, (2, 1, 2), walk=walk)
+    assert report.verdict is Verdict.MISMATCH
+    assert report.formula_perm.is_identity()
+    assert report.observed_perm == Permutation.transposition(2, 1, 2)
 
 
 @given(st.integers(1, 5), st.data())
