@@ -1,0 +1,51 @@
+"""Inputs that several test modules share.
+
+- ``A2``, ``A3`` and the rank-2 generators ``X01``, ``X02``, ``X12``;
+- ``graph`` and ``quotient``: one build of the exchange graph and of the
+  standard quotient graph per rank, for tests that only read them;
+- ``reachable``: a breadth-first closure of the framed straight-A_n state
+  under the public ``mutate``.  It shares no traversal code with the
+  library's ``build_exchange_graph``, ``count_reachable_states`` or
+  ``quotient_graph``;
+- ``drop_transposition``: the negative control that takes one generator's
+  transposition out of the formula.
+"""
+
+import functools
+
+import quiverperm.formula
+from quiverperm import (ExchangeMatrix, Permutation, Root, SignedGenerator,
+                        build_exchange_graph, framed, mutate, quotient_graph)
+
+A2 = ExchangeMatrix.straight_a(2)
+A3 = ExchangeMatrix.straight_a(3)
+
+X01 = SignedGenerator(Root(0, 1))
+X02 = SignedGenerator(Root(0, 2))
+X12 = SignedGenerator(Root(1, 2))
+
+graph = functools.cache(build_exchange_graph)
+quotient = functools.cache(quotient_graph)
+
+
+def reachable(n, depth=None):
+    """All states within ``depth`` mutations of the framed quiver, or all
+    reachable states when ``depth`` is None, sorted by c-matrix."""
+    start = framed(ExchangeMatrix.straight_a(n))
+    seen = {start}
+    frontier = [start]
+    steps = 0
+    while frontier and (depth is None or steps < depth):
+        frontier = [s for m in frontier for k in range(1, n + 1)
+                    if (s := mutate(m, k)) not in seen and not seen.add(s)]
+        steps += 1
+    return sorted(seen, key=lambda m: m.c)
+
+
+def drop_transposition(monkeypatch, g0):
+    """Make the formula's transposition of the generator ``g0`` alone the
+    identity."""
+    real = quiverperm.formula.transposition_of
+    monkeypatch.setattr(
+        quiverperm.formula, "transposition_of",
+        lambda g, n: Permutation.identity(n) if g == g0 else real(g, n))

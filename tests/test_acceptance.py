@@ -8,14 +8,12 @@ frozen regression values.  Unit-level details live in the other files.
 import itertools
 import time
 from collections import Counter
-from functools import lru_cache
 
 from quiverperm import (ExchangeMatrix, Permutation, PrefixWalk, Root,
                         RelationVerdict, SignedGenerator, TrackedState,
                         Verdict, act, all_roots, allowed, apply_sequence,
-                        build_exchange_graph, check_preservation, coframed,
-                        count_loops_by_replay, count_mgs,
-                        count_reachable_states, enumerate_loops,
+                        check_preservation, coframed, count_loops_by_replay,
+                        count_mgs, count_reachable_states, enumerate_loops,
                         enumerate_mgs, ext, factor_standard,
                         find_row_permutation, framed, hom, is_all_red,
                         is_standard, euler_pairing, relation_holds_on,
@@ -23,12 +21,8 @@ from quiverperm import (ExchangeMatrix, Permutation, PrefixWalk, Root,
                         validate_c_matrix, vector_to_signed_root, verify,
                         vertex_color)
 
+from common import graph
 from rep_oracle import all_root_pairs, ext_oracle, hom_oracle
-
-
-@lru_cache(maxsize=None)
-def graph(n):
-    return build_exchange_graph(n)
 
 
 def emit(capsys, num, desc, failed=False):
@@ -159,7 +153,7 @@ def test_criterion_04_preservation_with_row_moves(capsys):
 
 def test_criterion_05_factorization_uniqueness(capsys):
     def body():
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             perms = [Permutation(im)
                      for im in itertools.permutations(range(1, n + 1))]
             standards = [c for c in graph(n).nodes if is_standard(c)]
@@ -170,7 +164,7 @@ def test_criterion_05_factorization_uniqueness(capsys):
                         == rho.is_identity()
 
     criterion(capsys, 5, "no nontrivial row permutation of a reachable "
-                         "standard matrix is standard, exhaustive n <= 3", body)
+                         "standard matrix is standard, exhaustive n <= 4", body)
 
 
 def test_criterion_06_reachable_validity(capsys):
@@ -178,13 +172,15 @@ def test_criterion_06_reachable_validity(capsys):
         for n in (1, 2, 3, 4):
             b0 = ExchangeMatrix.straight_a(n).b
             for key, state in graph(n).nodes.items():
+                assert state.c == key
                 assert validate_c_matrix(key) == ()
                 for k in range(1, n + 1):
                     vertex_color(state, k)  # raises on a mixed-sign row
                 assert state.b == reconstructed_b(b0, key)
 
-    criterion(capsys, 6, "every reachable c-matrix is valid and "
-                         "sign-coherent and determines the b-part, n <= 4", body)
+    criterion(capsys, 6, "every reachable state is keyed by its c-matrix, "
+                         "which is valid and sign-coherent and determines "
+                         "the b-part, n <= 4", body)
 
 
 def test_criterion_07_pairings_match_oracle(capsys):
@@ -256,7 +252,7 @@ def test_criterion_09_reddening_endpoints_standardize_to_minus_identity(capsys):
 
 def test_criterion_10_regression_freeze(capsys):
     def body():
-        mgs_counts = {3: 9, 4: 98, 5: 2981}
+        mgs_counts = {1: 1, 2: 2, 3: 9, 4: 98, 5: 2981}
         for n, expected in mgs_counts.items():
             assert len(enumerate_mgs(n)) == count_mgs(n) == expected
 
@@ -273,4 +269,6 @@ def test_criterion_10_regression_freeze(capsys):
         assert dict(perms) == {"id": 28, "(12)": 2}
 
     criterion(capsys, 10, "frozen counts hold and independent traversals "
-                          "agree: green sequences, graph nodes, loops", body)
+                          "agree: green sequences n <= 5, graph nodes "
+                          "n <= 4, loops of length <= 6 at the framed A2",
+              body)

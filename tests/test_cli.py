@@ -31,7 +31,10 @@ def test_mutate_empty_sequence(capsys):
     assert code == 0
     assert "sequence: (empty)" in out
     assert "colors: 1=green 2=green" in out
+    assert "word: 1" in out
     assert "sigma: id" in out
+    # with neither --sequence nor --seed the sequence is empty as well
+    assert run(capsys, "mutate", "--n", "2") == (0, out, err)
 
 
 def test_mutate_accepts_commas(capsys):
@@ -280,7 +283,8 @@ def test_check_standard_rejects_malformed_matrix(capsys, text):
 
 
 @pytest.mark.parametrize("text", ["7", "[[0, 1.9], [-1.9, 0]]",
-                                  "[[0, true], [-1, 0]]", "[[0, 1], 5]", "[]"])
+                                  "[[0, true], [-1, 0]]", "[[0, 1], 5]", "[]",
+                                  "[[0, 1]]"])
 def test_b0_file_rejects_malformed_matrix(tmp_path, capsys, text):
     b0 = tmp_path / "b0.json"
     b0.write_text(text)

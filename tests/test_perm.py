@@ -68,6 +68,7 @@ def test_apply_to_rows_moves_row_to_image():
 def test_cycle_string():
     assert Permutation.identity(4).cycle_string() == "id"
     assert Permutation.transposition(2, 1, 2).cycle_string() == "(12)"
+    assert str(Permutation((2, 1, 3))) == "(12)"
     assert Permutation.from_cycles(4, [(1, 2, 3)]).cycle_string() == "(123)"
     assert Permutation.from_cycles(4, [(1, 2), (3, 4)]).cycle_string() == "(12)(34)"
     # two-digit entries get spaces

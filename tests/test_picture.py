@@ -9,14 +9,7 @@ from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
                         permute_rows, relation_holds_on, relations,
                         word_from_sequence)
 
-from reachable_states import reachable
-
-A2 = ExchangeMatrix.straight_a(2)
-A3 = ExchangeMatrix.straight_a(3)
-
-X01 = SignedGenerator(Root(0, 1))
-X02 = SignedGenerator(Root(0, 2))
-X12 = SignedGenerator(Root(1, 2))
+from common import A2, A3, X01, X02, X12, reachable
 
 
 def test_generator_str():
@@ -185,11 +178,3 @@ def test_relation_holds_on_rejects_repeated_rows():
     for rel in relations(2):
         with pytest.raises(ValueError, match="ambiguous: duplicate c-rows"):
             relation_holds_on(state, rel)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_relations_never_disagree_on_reachable_states(n):
-    rels = relations(n)
-    for m in reachable(n):
-        for rel in rels:
-            assert relation_holds_on(m, rel) is not RelationVerdict.DISAGREE

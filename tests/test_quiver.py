@@ -11,11 +11,9 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         vertex_color)
 from quiverperm.quiver import _reconstructor, matrix_from_json
 
-from reachable_states import reachable
+from common import A2, A3, reachable
 
 A1 = ExchangeMatrix.straight_a(1)
-A2 = ExchangeMatrix.straight_a(2)
-A3 = ExchangeMatrix.straight_a(3)
 
 
 def test_straight_orientation():
@@ -53,12 +51,6 @@ def test_extended_matrix_validation():
         ExtendedExchangeMatrix(A2.b, ((1, 0), (0, 0)))
 
 
-def test_c_row_is_one_based():
-    m = framed(A2)
-    assert m.c_row(1) == (1, 0)
-    assert m.c_row(2) == (0, 1)
-
-
 def test_mutate_framed_a2():
     m1 = mutate(framed(A2), 1)
     assert m1.b == ((0, -1), (1, 0))
@@ -78,15 +70,11 @@ def test_mutate_out_of_range():
 def test_c_row_out_of_range():
     m = framed(A2)
     assert m.c_row(1) == (1, 0)
+    assert m.c_row(2) == (0, 1)
     with pytest.raises(IndexError):
         m.c_row(0)
     with pytest.raises(IndexError):
         m.c_row(3)
-
-
-def test_mutation_is_involutive():
-    m = framed(A3)
-    assert mutate(mutate(m, 2), 2) == m
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -280,6 +268,9 @@ def test_dot_output():
     red = state_to_dot(coframed(A2))
     assert '"1\'" -> "1";' in red
     assert 'fillcolor=red' in red
+    # a c-row of mixed sign has no color
+    mixed = ExtendedExchangeMatrix(((0, 0), (0, 0)), ((1, -1), (0, 1)))
+    assert '"1" [style=filled, fillcolor=gray];' in state_to_dot(mixed)
 
 
 def test_format_state():

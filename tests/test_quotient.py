@@ -11,28 +11,25 @@ green-sequence counts over the full exchange graph reduce to counts over
 Q.
 """
 
-import functools
 import math
 
 import pytest
 
-from quiverperm import (Color, ExchangeMatrix, Permutation, Root,
-                        SignedGenerator, build_exchange_graph, coframed,
-                        count_mgs, enumerate_loops, is_all_red, is_standard,
-                        mgs_census, quotient_graph, reconstructed_b,
-                        transposition_of, validate_c_matrix,
+import quiverperm.formula
+from quiverperm import (Color, ExchangeMatrix, coframed, count_mgs,
+                        enumerate_loops, is_all_red, is_standard, mgs_census,
+                        reconstructed_b, validate_c_matrix,
                         vector_to_signed_root, vertex_color)
 
-X02 = SignedGenerator(Root(0, 2))
-
-quotient = functools.cache(quotient_graph)
+from common import X02, drop_transposition, graph, quotient
 
 
-def first_quotient_edge_failure(n, transposition=transposition_of):
-    """The first (node, row) of Q whose observed rho differs from
-    ``transposition`` of the row's generator; ``None`` if there is none."""
-    graph = quotient(n)
-    for node, row_edges in zip(graph.nodes, graph.edges):
+def first_quotient_edge_failure(n):
+    """The first (node, row) of Q whose observed rho differs from the
+    formula's transposition of the row's generator; ``None`` if there is
+    none."""
+    transposition = quiverperm.formula.transposition_of
+    for node, row_edges in zip(quotient(n).nodes, quotient(n).edges):
         for p, edge in enumerate(row_edges, start=1):
             if edge.rho != transposition(edge.generator, n):
                 return node, p
@@ -77,13 +74,10 @@ def test_quotient_edges_follow_the_transpositions(n):
     assert first_quotient_edge_failure(n) is None
 
 
-def test_quotient_edge_check_negative_control():
+def test_quotient_edge_check_negative_control(monkeypatch):
     # dropping x02's transposition has to fail at an edge of x02
-    def broken(g, n):
-        return Permutation.identity(n) if g == X02 \
-            else transposition_of(g, n)
-
-    node, p = first_quotient_edge_failure(3, broken)
+    drop_transposition(monkeypatch, X02)
+    node, p = first_quotient_edge_failure(3)
     assert vector_to_signed_root(node.c_row(p)) == X02
 
 
@@ -119,7 +113,7 @@ def test_loop_count_by_transfer_matrix(n, max_len, expected):
 def test_loop_count_rank4_by_enumeration():
     # the depth-first loop search from each of the 1008 states, sharing no
     # traversal code with Q or the transfer matrix
-    states = build_exchange_graph(4).nodes.values()
+    states = graph(4).nodes.values()
     assert sum(len(enumerate_loops(s, 7)) for s in states) == 601440
 
 

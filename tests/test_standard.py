@@ -1,20 +1,16 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from quiverperm import (ExchangeMatrix, Permutation, Root, SignedGenerator,
-                        apply_sequence, canonical_row, check_preservation,
-                        factor_standard, framed, is_standard, mutate,
-                        vector_to_signed_root)
+from quiverperm import (Permutation, Root, SignedGenerator, apply_sequence,
+                        canonical_row, check_preservation, factor_standard,
+                        framed, is_standard, mutate, vector_to_signed_root)
 
-from reachable_states import reachable
-
-A2 = ExchangeMatrix.straight_a(2)
+from common import A2, reachable
 
 
-def reachable_c(n, depth=None):
-    return [m.c for m in reachable(n, depth)]
+def reachable_c(n):
+    return [m.c for m in reachable(n)]
 
 
 def test_is_standard_examples():
@@ -99,30 +95,6 @@ def test_factor_standard_round_trip_on_reachable(n):
         assert is_standard(fact.m)
         assert fact.rho.apply_to_rows(fact.m) == c
         assert (fact.rho, fact.m) == factor_standard_by_search(c)
-
-
-def test_factorization_is_unique_exhaustively():
-    # no nonidentity permutation maps a reachable standard matrix to
-    # another standard matrix
-    for n in (2, 3):
-        perms = [Permutation(im)
-                 for im in itertools.permutations(range(1, n + 1))]
-        for c in reachable_c(n):
-            if not is_standard(c):
-                continue
-            for rho in perms:
-                permuted = rho.apply_to_rows(c)
-                assert is_standard(permuted) == rho.is_identity()
-
-
-STANDARD4 = [c for c in reachable_c(4, depth=5) if is_standard(c)]
-
-
-@settings(max_examples=30)
-@given(st.sampled_from(STANDARD4), st.permutations(range(1, 5)))
-def test_factorization_unique_sampled_n4(c, images):
-    rho = Permutation(tuple(images))
-    assert is_standard(rho.apply_to_rows(c)) == rho.is_identity()
 
 
 def test_check_preservation_simple_generator():
