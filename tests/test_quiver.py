@@ -77,6 +77,11 @@ def test_c_row_out_of_range():
         m.c_row(3)
 
 
+def test_mutation_is_involutive():
+    m = framed(A3)
+    assert mutate(mutate(m, 2), 2) == m
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mutation_involution_everywhere(n):
     for m in reachable(n, 4):
