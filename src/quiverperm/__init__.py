@@ -6,7 +6,7 @@ product predicting the permutation a mutation sequence induces, all over
 exact integer arithmetic with exhaustive desk-scale verification.
 """
 
-from .formula import (FormulaReport, PrefixWalk, TrackedState, Verdict,
+from .formula import (FormulaReport, TrackedState, Verdict,
                       check_preservation, formula_permutation,
                       transposition_of, verify)
 from .perm import Permutation
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Color", "CMatrixViolation", "ExchangeGraph",
     "ExchangeMatrix", "ExtendedExchangeMatrix", "FormulaReport", "LoopResult",
-    "MGSResult", "Permutation", "PictureWord", "PrefixWalk", "QuotientEdge",
+    "MGSResult", "Permutation", "PictureWord", "QuotientEdge",
     "QuotientGraph", "Relation", "RelationVerdict",
     "Root", "SignedGenerator", "StandardFactorization",
     "TrackedState", "Verdict", "act", "act_word", "all_roots", "allowed",

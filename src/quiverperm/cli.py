@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional
 
-from .formula import PrefixWalk, TrackedState, Verdict, verify
+from .formula import TrackedState, Verdict, verify
 from .picture import PictureWord
 from .quiver import (ExchangeMatrix, apply_sequence, format_matrix,
                      format_state, framed, matrix_from_json, state_to_dot,
@@ -101,22 +101,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_depth:
         checks.extend(("loop", r.sequence)
                       for r in enumerate_loops(start, args.max_depth))
-    walk = PrefixWalk(start)
     failures = []
     with _output(args.output_path) as fp:
         for kind, seq in checks:
-            report = verify(start, seq, corrupt=args.corrupt_formula,
-                            walk=walk)
+            report = verify(start, seq, corrupt=args.corrupt_formula)
             if report.verdict is not Verdict.MATCH:
                 failures.append((kind, seq))
             if args.format == "json":
                 fp.write(json.dumps({"kind": kind, "vertices": list(seq),
                                      **report.to_json()}) + "\n")
             else:
+                # on a match the two permutations are equal
+                formula = report.formula_perm.cycle_string()
+                observed = (formula if report.verdict is Verdict.MATCH
+                            else report.observed_perm.cycle_string())
                 fp.write(f"{kind} {' '.join(map(str, seq))}: "
                          f"{report.verdict.value} "
-                         f"(formula {report.formula_perm.cycle_string()}, "
-                         f"observed {report.observed_perm.cycle_string()})\n")
+                         f"(formula {formula}, observed {observed})\n")
         if args.format != "json":
             fp.write(f"{len(checks)} sequences checked, "
                      f"{len(failures)} mismatches\n")

@@ -9,11 +9,14 @@ relabeling of mutable vertices is
 
 A walk follows sigma step by step, sigma <- sigma o (i+1 j), because each
 such step keeps the c-matrix standard (``check_preservation``); after a
-sequence it holds sigma o t_1 o ... o t_N.  ``TrackedState`` and
-``PrefixWalk`` take the same step, ``_advance``.  ``verify`` takes its
-prediction from a ``PrefixWalk``, which sequences checked together share:
-each common prefix is mutated once, so ``verify --n 5`` mutates 11871
-times for the 33805 steps of its 2981 maximal green sequences.
+sequence it holds sigma o t_1 o ... o t_N.  Every walk takes its states
+from ``picture.step`` (plain ``mutate``) and folds sigma over the
+generators they spell with ``_advance``.  ``verify`` keeps one
+``PrefixWalk`` per thread across calls given the same start object: the
+walk memoizes the states and generators of the last sequence, so each
+common prefix is mutated once (``verify --n 5`` mutates 11871 times for
+the 33805 steps of its 2981 maximal green sequences), and sigma is folded
+afresh from the start's on every call, never stored.
 ``formula_permutation`` is the closed form above, the reference the
 tracked prediction is tested against.  The walk's states come from plain
 ``mutate``, so the formula decides only the tracked sigma, never which
@@ -30,9 +33,10 @@ No other module knows the transpositions, so no other one predicts.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .perm import Permutation, _trusted
 from .picture import PictureWord, act, step
@@ -41,11 +45,13 @@ from .roots import SignedGenerator
 from .standard import factor_standard, is_standard
 
 
-@functools.cache
 def transposition_of(g: SignedGenerator, n: int) -> Permutation:
     """(i+1 j) for the generator of root (i, j); identity for simple roots.
-    Built once per generator and rank, at most n(n+1) per rank."""
-    return Permutation.transposition(n, g.root.i + 1, g.root.j)
+    Built once per rank and pair of points, at most n(n+1) per rank."""
+    return _transposition(n, g.root.i + 1, g.root.j)
+
+
+_transposition = functools.cache(Permutation.transposition)
 
 
 def check_preservation(state: ExtendedExchangeMatrix, g) -> bool:
@@ -76,15 +82,16 @@ def _factored_sigma(m: ExtendedExchangeMatrix) -> Permutation:
     return fact.rho
 
 
-def _advance(state: ExtendedExchangeMatrix, images: tuple[int, ...],
-             k: int) -> tuple[ExtendedExchangeMatrix, tuple[int, ...],
-                              SignedGenerator]:
-    """The one step of every walk: plain ``mutate`` at ``k`` (through
-    ``step``), and sigma's images composed with the transposition of the
-    generator the step spells, read from ``transposition_of`` each time."""
-    g, state = step(state, k)
-    t = transposition_of(g, len(images)).images
-    return state, tuple([images[y - 1] for y in t]), g
+def _advance(images: tuple[int, ...],
+             factors: Sequence[SignedGenerator]) -> tuple[int, ...]:
+    """sigma's images composed, in order, with the transposition of each
+    generator, read from ``transposition_of`` each time: the formula's half
+    of every walk, whose other half is ``picture.step``."""
+    n = len(images)
+    for g in factors:
+        t = transposition_of(g, n).images
+        images = tuple([images[y - 1] for y in t])
+    return images
 
 
 @dataclass(frozen=True)
@@ -108,53 +115,55 @@ class TrackedState:
         return self.run((k,))
 
     def run(self, seq: Sequence[int]) -> "TrackedState":
-        state, images = self.state, self.sigma.images
-        factors = list(self.factors)
+        state = self.state
+        steps = []
         for k in seq:
-            state, images, g = _advance(state, images, k)
-            factors.append(g)
-        return TrackedState(state, _trusted(images), tuple(factors))
+            g, state = step(state, k)
+            steps.append(g)
+        sigma = _trusted(_advance(self.sigma.images, steps))
+        return TrackedState(state, sigma, self.factors + tuple(steps))
 
 
 class PrefixWalk:
-    """Many sequences from one start, each common prefix walked once.
+    """Many sequences from one start, each common prefix mutated once.
 
-    A stack holds the start's entry and one (state, sigma images,
-    generator) entry per step of the sequence walked last.  ``to(seq)``
-    cuts it back to the longest common prefix of ``seq`` and that
-    sequence, then steps on with ``_advance``.  Sequences given in
-    depth-first order, as the enumerations list them, therefore mutate
-    each distinct prefix once, and the stack never holds more states than
-    the current sequence has steps, plus one.
+    The stack holds one (vertex, generator, state) entry per step of the
+    sequence walked last, below the start's entry.  ``to(seq)`` cuts it
+    back to the longest common prefix of ``seq`` and that sequence, then
+    steps on with ``picture.step``.  Sequences given in depth-first order,
+    as the enumerations list them, therefore mutate each distinct prefix
+    once, and the stack never holds more states than the current sequence
+    has steps, plus one.  The walk memoizes only what plain ``mutate``
+    decides; sigma is folded from the start's by the caller on every call.
     """
 
-    __slots__ = ("start", "sigma", "_vertices", "_stack")
+    __slots__ = ("start", "sigma", "back", "_stack")
 
     def __init__(self, m: ExtendedExchangeMatrix):
         self.start = m
         self.sigma = _factored_sigma(m)
-        self._vertices: list[int] = []
-        self._stack = [(m, self.sigma.images, None)]
+        self.back = self.sigma.inverse()
+        self._stack = [(None, None, m)]
 
     def to(self, seq: Sequence[int]) -> tuple[
-            ExtendedExchangeMatrix, tuple[int, ...],
-            tuple[SignedGenerator, ...]]:
-        """The endpoint of ``seq``, the images of its tracked sigma and the
-        generators it spells, in application order."""
-        vertices, stack = self._vertices, self._stack
+            ExtendedExchangeMatrix, tuple[SignedGenerator, ...]]:
+        """The endpoint of ``seq`` and the generators it spells, in
+        application order."""
+        stack = self._stack
         common = 0
-        for old, new in zip(vertices, seq):
-            if old != new:
+        for entry, k in zip(stack[1:], seq):
+            if entry[0] != k:
                 break
             common += 1
-        del vertices[common:]
         del stack[common + 1:]
-        top = stack[-1]
+        state = stack[-1][2]
         for k in seq[common:]:
-            top = _advance(top[0], top[1], k)
-            stack.append(top)
-            vertices.append(k)
-        return top[0], top[1], tuple([entry[2] for entry in stack[1:]])
+            g, state = step(state, k)
+            stack.append((k, g, state))
+        return state, tuple([entry[1] for entry in stack[1:]])
+
+
+_local = threading.local()
 
 
 class Verdict(Enum):
@@ -181,36 +190,35 @@ class FormulaReport:
 
 
 def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
-           corrupt: bool = False,
-           walk: Optional[PrefixWalk] = None) -> FormulaReport:
+           corrupt: bool = False) -> FormulaReport:
     """Predict the permutation of one sequence and compare it.
 
-    The sequence is walked on ``walk``, a ``PrefixWalk`` from ``m`` that
-    callers checking many sequences share, so that each common prefix is
-    mutated once; without one, a walk is made for this sequence alone.
-    The prediction is the tracked sigma at the end times the inverse of
-    the one at the start, which is ``formula_permutation`` of the word the
-    walk spells.  The observation is independent of the prediction and of
-    any other sequence: the endpoint's c-matrix is factored from scratch
-    with ``factor_standard``, and its permutation part times the inverse
-    of the start's is compared, never the tracked sigma.  Raises
-    ``ValueError`` when the walk was started at a state other than ``m``,
-    or when the starting or the ending c-matrix does not factor through a
-    standard matrix.
+    The sequence is walked on this thread's ``PrefixWalk``, kept from the
+    call before while that call was given the same start object ``m``, so
+    that calls checking many sequences from one start mutate each common
+    prefix once; an equal state built anew gets a fresh walk, so the work
+    a call does depends only on earlier calls given the same object.  The
+    walk keeps states and generators only: the prediction is folded afresh
+    on every call, from the start's sigma through ``transposition_of`` of
+    each generator, and times the inverse of the start's sigma is
+    ``formula_permutation`` of the word the walk spells.  The observation
+    is independent of the prediction and of any other sequence: the
+    endpoint's c-matrix is factored from scratch with ``factor_standard``,
+    and its permutation part times the inverse of the start's is compared,
+    never the tracked sigma.  Raises ``ValueError`` when the starting or
+    the ending c-matrix does not factor through a standard matrix.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
     """
-    if walk is None:
-        walk = PrefixWalk(m)
-    elif walk.start != m:
-        raise ValueError("the walk was started at a different state")
-    end, images, factors = walk.to(seq)
-    back = walk.sigma.inverse()
-    predicted = _trusted(images) * back
+    walk = getattr(_local, "walk", None)
+    if walk is None or walk.start is not m:
+        walk = _local.walk = PrefixWalk(m)
+    end, factors = walk.to(seq)
+    predicted = _trusted(_advance(walk.sigma.images, factors)) * walk.back
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
-    observed = _factored_sigma(end) * back
+    observed = _factored_sigma(end) * walk.back
     verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
     return FormulaReport(PictureWord(factors), walk.sigma, predicted,
                          observed, verdict)

@@ -1,13 +1,17 @@
 import itertools
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
 
+import quiverperm.formula
 import quiverperm.picture
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
-                        PictureWord, PrefixWalk, Root, SignedGenerator,
+                        PictureWord, Root, SignedGenerator,
                         TrackedState, Verdict, apply_sequence, act_word,
                         coframed, enumerate_loops, enumerate_mgs,
                         factor_standard, find_row_permutation,
@@ -15,7 +19,7 @@ from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
                         relations, transposition_of, verify,
                         word_from_sequence)
 
-from common import A2, X01, X02, X12, drop_transposition, graph
+from common import A2, A3, X01, X02, X12, drop_transposition, graph
 
 
 def test_transposition_of():
@@ -251,25 +255,43 @@ def test_verify_reddening_sequences():
     assert verify(m, (1, 2)).formula_perm.is_identity()
 
 
-def assert_shared_walk_matches_standalone(m, sequences):
-    """Every report from one walk shared by ``sequences`` equals what the
-    standalone replays compute for its sequence alone, and the one-use
-    walk's report."""
-    walk = PrefixWalk(m)
+def in_fresh_thread(fn, *args):
+    """``fn(*args)`` on a new thread, which starts with no walk of its own."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def assert_matches_standalone(m, seq, report):
+    """``report`` for ``seq`` from ``m`` equals what the standalone replays
+    compute for that sequence alone, and the report of a fresh walk."""
     sigma = factor_standard(m.c).rho
+    word = word_from_sequence(m, seq)
+    end = apply_sequence(m, seq)
+    assert TrackedState.from_state(m).run(seq).factors == word.factors
+    assert report.word == word
+    assert report.sigma == sigma
+    assert report.formula_perm == formula_permutation(word, sigma)
+    assert report.observed_perm \
+        == factor_standard(end.c).rho * sigma.inverse()
+    assert report.verdict is Verdict.MATCH
+    assert report == in_fresh_thread(verify, m, seq)
+
+
+def current_walk():
+    """The walk ``verify`` kept on this thread."""
+    return quiverperm.formula._local.walk
+
+
+def assert_shared_walk_matches_standalone(m, sequences):
+    """Every report from ``verify``'s walk, kept across ``sequences``,
+    equals the standalone pieces for its sequence alone."""
+    verify(m, ())
+    walk = current_walk()
     for seq in sequences:
-        report = verify(m, seq, walk=walk)
-        word = word_from_sequence(m, seq)
-        end = apply_sequence(m, seq)
-        assert walk.to(seq)[0] == end
-        assert TrackedState.from_state(m).run(seq).factors == word.factors
-        assert report.word == word
-        assert report.sigma == sigma
-        assert report.formula_perm == formula_permutation(word, sigma)
-        assert report.observed_perm \
-            == factor_standard(end.c).rho * sigma.inverse()
-        assert report.verdict is Verdict.MATCH
-        assert report == verify(m, seq)
+        report = verify(m, seq)
+        assert current_walk() is walk
+        assert walk.to(seq)[0] == apply_sequence(m, seq)
+        assert_matches_standalone(m, seq, report)
 
 
 @pytest.mark.parametrize("order", ["sorted", "shuffled"])
@@ -315,10 +337,9 @@ def test_shared_walk_edge_cases():
         m, [long, (), long, long[:5], long[:2], long[:2], (), (3,), long])
     # a vertex out of range stops the walk after the steps before it, and
     # the walk goes on from there
-    walk = PrefixWalk(m)
     with pytest.raises(IndexError):
-        verify(m, long[:3] + (4,), walk=walk)
-    assert verify(m, long, walk=walk) == verify(m, long)
+        verify(m, long[:3] + (4,))
+    assert verify(m, long) == in_fresh_thread(verify, m, long)
 
 
 def test_shared_walk_mutates_each_distinct_prefix_once(monkeypatch):
@@ -328,30 +349,81 @@ def test_shared_walk_mutates_each_distinct_prefix_once(monkeypatch):
                         lambda m, k: calls.append(k) or real(m, k))
     sequences = [r.sequence for r in enumerate_mgs(4)]
     m = framed(ExchangeMatrix.straight_a(4))
-    walk = PrefixWalk(m)
-    for seq in sequences:
-        verify(m, seq, walk=walk)
+    # a fresh thread, so no walk left from m by another test shares prefixes
+    in_fresh_thread(lambda: [verify(m, seq) for seq in sequences])
     prefixes = {seq[:i] for seq in sequences for i in range(1, len(seq) + 1)}
     assert len(calls) == len(prefixes) < sum(map(len, sequences))
 
 
-def test_walk_rejects_a_different_start():
+def test_verify_follows_a_change_of_start():
+    # starts A, B, A interleaved call by call, then a state equal to A but
+    # built anew: each call walks from its own start object
+    a = framed(A3)
+    b = apply_sequence(a, (2, 1))
+    a_again = framed(A3)
+    assert a_again == a and a_again is not a
+    for seq in [loop.sequence for loop in enumerate_loops(a, 4)]:
+        for m in (a, b, a, a_again):
+            assert_matches_standalone(m, seq, verify(m, seq))
+            assert current_walk().start is m
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["two", "one"])
+def test_threads_keep_their_own_walks(shared):
+    # two threads verify at the same time, from different starts or from
+    # one start in different orders; each report matches the standalone
+    # pieces
+    a = framed(A3)
+    b = a if shared else apply_sequence(a, (2, 1))
+    jobs = [(m, [loop.sequence for loop in enumerate_loops(m, 6)])
+            for m in (a, b)]
+    random.Random(3).shuffle(jobs[1][1])
+    ready = threading.Barrier(2)
+
+    def check(m, sequences):
+        ready.wait(timeout=30)
+        return [verify(m, seq) for seq in sequences]
+
+    # switch threads often, so that a walk shared between them would be
+    # cut back by one thread in the middle of the other's call
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(check, *zip(*jobs), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (m, sequences), reports in zip(jobs, results):
+        assert len(reports) == len(sequences) > 100
+        for seq, report in zip(sequences, reports):
+            assert_matches_standalone(m, seq, report)
+
+
+def test_walk_stores_no_sigma_across_calls(monkeypatch):
+    # negative control: the same start and sequence once more on the walk
+    # that already holds them mutates nothing, and still reads the
+    # transpositions afresh
     m = framed(A2)
-    walk = PrefixWalk(m)
-    with pytest.raises(ValueError, match="different state"):
-        verify(mutate(m, 1), (1,), walk=walk)
-    # an equal state is the same start
-    assert verify(framed(A2), (2, 1, 2), walk=walk).verdict is Verdict.MATCH
+    assert verify(m, (2, 1, 2)).verdict is Verdict.MATCH
+    walk = current_walk()
+    calls = []
+    real = quiverperm.picture.mutate
+    monkeypatch.setattr(quiverperm.picture, "mutate",
+                        lambda state, k: calls.append(k) or real(state, k))
+    drop_transposition(monkeypatch, X02)
+    report = verify(m, (2, 1, 2))
+    assert current_walk() is walk and calls == []
+    assert report.verdict is Verdict.MISMATCH
+    assert report.formula_perm.is_identity()
 
 
 def test_shared_walk_reads_the_transpositions_at_each_step(monkeypatch):
     # negative control: a walk made before x02's transposition is dropped
     # still predicts without it, so (2, 1, 2) mismatches
     m = framed(A2)
-    walk = PrefixWalk(m)
-    assert verify(m, (2,), walk=walk).verdict is Verdict.MATCH
+    assert verify(m, (2,)).verdict is Verdict.MATCH
     drop_transposition(monkeypatch, X02)
-    report = verify(m, (2, 1, 2), walk=walk)
+    report = verify(m, (2, 1, 2))
     assert report.verdict is Verdict.MISMATCH
     assert report.formula_perm.is_identity()
     assert report.observed_perm == Permutation.transposition(2, 1, 2)
