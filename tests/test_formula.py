@@ -1,8 +1,10 @@
+import gc
 import itertools
 import math
 import random
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import given, strategies as st
 
 import quiverperm.formula
 import quiverperm.picture
-from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
-                        PictureWord, Root, SignedGenerator,
+from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, FormulaReport,
+                        Permutation, PictureWord, Root, SignedGenerator,
                         TrackedState, Verdict, apply_sequence, act_word,
                         coframed, enumerate_loops, enumerate_mgs,
                         factor_standard, find_row_permutation,
@@ -290,7 +292,7 @@ def assert_shared_walk_matches_standalone(m, sequences):
     for seq in sequences:
         report = verify(m, seq)
         assert current_walk() is walk
-        assert walk.to(seq)[0] == apply_sequence(m, seq)
+        assert walk.states[walk.to(seq)[0]] == apply_sequence(m, seq)
         assert_matches_standalone(m, seq, report)
 
 
@@ -327,6 +329,74 @@ def test_shared_walk_matches_standalone_on_random_sequences(n, data):
     assert_shared_walk_matches_standalone(m, sequences)
 
 
+def standalone_report(m, seq):
+    """``verify``'s report for ``seq`` from ``m``, from the standalone
+    pieces alone; they raise where ``verify`` has to."""
+    sigma = factor_standard(m.c).rho
+    word = word_from_sequence(m, seq)
+    end = factor_standard(apply_sequence(m, seq).c)
+    if end is None:
+        raise ValueError("endpoint does not factor")
+    predicted = formula_permutation(word, sigma)
+    observed = end.rho * sigma.inverse()
+    return FormulaReport(word, sigma, predicted, observed,
+                         Verdict.MATCH if predicted == observed
+                         else Verdict.MISMATCH)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+
+
+@given(st.integers(1, 4), st.data())
+def test_shared_walk_matches_standalone_off_type_a(n, data):
+    # skew-symmetric b0 of any type: the walk raises what the standalone
+    # pieces raise, or reports what they do
+    upper = data.draw(st.lists(st.integers(-2, 2), min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2))
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(itertools.combinations(range(n), 2), upper):
+        rows[i][j], rows[j][i] = x, -x
+    m = framed(ExchangeMatrix(tuple(map(tuple, rows))))
+    # each sequence keeps a drawn prefix of the one before, and is also
+    # checked with a vertex out of range appended
+    vertices = st.lists(st.integers(1, n), max_size=8)
+    out_of_range = st.sampled_from(((), (-1,), (0,), (n + 1,)))
+    previous = ()
+    for keep, tail, bad in data.draw(st.lists(
+            st.tuples(st.integers(0, 6), vertices, out_of_range),
+            max_size=8)):
+        previous = previous[:keep] + tuple(tail)
+        for seq in (previous, previous + bad):
+            assert outcome(verify, m, seq) \
+                == outcome(standalone_report, m, seq)
+
+
+def test_walk_frees_its_states_when_the_start_changes():
+    # the walk holds every state its sequences reached from the start; held
+    # by a reference cycle, they would outlive the walk until the next
+    # cyclic collection
+    a = framed(A3)
+    b = apply_sequence(a, (2, 1))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        verify(a, (2, 1, 2))
+        walk = current_walk()
+        reached = weakref.ref(walk.states[walk.to((2, 1))[0]])
+        del walk
+        assert reached() == b
+        verify(b, (1,))
+        assert reached() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_shared_walk_edge_cases():
     # from an unframed start: a long sequence, then the empty one, a strict
     # prefix of the one before, the same sequence twice, and a long one
@@ -336,23 +406,41 @@ def test_shared_walk_edge_cases():
     assert_shared_walk_matches_standalone(
         m, [long, (), long, long[:5], long[:2], long[:2], (), (3,), long])
     # a vertex out of range stops the walk after the steps before it, and
-    # the walk goes on from there
-    with pytest.raises(IndexError):
-        verify(m, long[:3] + (4,))
-    assert verify(m, long) == in_fresh_thread(verify, m, long)
+    # the walk goes on from there; 0 and -1 raise even where the walk has
+    # taken vertices n and n - 1, which a table indexed by k - 1 would read
+    for prefix in ((), long[:3]):
+        verify(m, prefix + (3,))
+        verify(m, prefix + (2,))
+        for bad in (0, -1, 4):
+            with pytest.raises(IndexError,
+                               match=f"^vertex {bad} out of range 1..3$"):
+                verify(m, prefix + (bad,))
+            assert verify(m, long) == in_fresh_thread(verify, m, long)
+            assert_matches_standalone(m, prefix, verify(m, prefix))
 
 
-def test_shared_walk_mutates_each_distinct_prefix_once(monkeypatch):
-    calls = []
-    real = quiverperm.picture.mutate
+def test_walk_mutates_each_step_and_factors_each_endpoint_once(monkeypatch):
+    mutated, factored = [], []
+    real_mutate = quiverperm.picture.mutate
+    real_factor = quiverperm.formula.factor_standard
     monkeypatch.setattr(quiverperm.picture, "mutate",
-                        lambda m, k: calls.append(k) or real(m, k))
+                        lambda m, k: mutated.append(k) or real_mutate(m, k))
+    monkeypatch.setattr(quiverperm.formula, "factor_standard",
+                        lambda c: factored.append(c) or real_factor(c))
     sequences = [r.sequence for r in enumerate_mgs(4)]
     m = framed(ExchangeMatrix.straight_a(4))
-    # a fresh thread, so no walk left from m by another test shares prefixes
+    # a fresh thread, so no walk left from m by another test shares steps
     in_fresh_thread(lambda: [verify(m, seq) for seq in sequences])
+    steps, endpoints = set(), set()
+    for seq in sequences:
+        state = m
+        for k in seq:
+            steps.add((state, k))
+            state = mutate(state, k)
+        endpoints.add(state)
     prefixes = {seq[:i] for seq in sequences for i in range(1, len(seq) + 1)}
-    assert len(calls) == len(prefixes) < sum(map(len, sequences))
+    assert len(mutated) == len(steps) < len(prefixes)
+    assert len(factored) == 1 + len(endpoints) < 1 + len(sequences)
 
 
 def test_verify_follows_a_change_of_start():
