@@ -9,26 +9,19 @@ relabeling of mutable vertices is
 
 A walk follows sigma step by step, sigma <- sigma o (i+1 j), because each
 such step keeps the c-matrix standard (``check_preservation``); after a
-sequence it holds sigma o t_1 o ... o t_N.  Every walk takes its states
-from ``picture.step`` (plain ``mutate``) and folds sigma over the
-generators they spell with ``_advance``.  ``verify`` keeps one
-``ExchangeWalk`` per thread across calls given the same start object: the
-piece of the start's exchange graph its sequences reached, so each
-distinct (state, vertex) step is mutated once and each distinct endpoint
-factored once, in any order of the sequences (for the 33805 steps of the
-2981 maximal green sequences at n = 5, ``verify`` mutates 1174 times and
-factors 43 endpoints and the start).  Sigma is folded afresh from the
-start's on every call, never stored.
-``formula_permutation`` is the closed form above, the reference the
-tracked prediction is tested against.  The walk's states come from plain
-``mutate``, so the formula decides only the tracked sigma, never which
-state comes next.  Every sequence is compared with one independent
-observation: the permutation part of the endpoint's c-matrix, factored
-from scratch, times the inverse of the start's.  On a loop this is the row
-permutation from the start to the endpoint, and on a reddening sequence
-from the framed start the row permutation from the coframe.  The
-observation is a function of the endpoint's state alone, never of the
-tracked sigma or of the path that reached it.
+sequence it holds sigma o t_1 o ... o t_N.  ``_advance`` folds sigma over
+the generators a walk spells.  The states and generators come from plain
+``mutate``, through ``picture.step`` for ``TrackedState`` and through
+``search.ExchangeWalk`` for ``verify``, so the formula decides only the
+tracked sigma, never which state comes next.  ``formula_permutation`` is
+the closed form above, the reference the tracked prediction is tested
+against.  Every sequence is compared with one independent observation: the
+permutation part of the endpoint's c-matrix, factored from scratch, times
+the inverse of the start's.  On a loop this is the row permutation from
+the start to the endpoint, and on a reddening sequence from the framed
+start the row permutation from the coframe.  The observation is a function
+of the endpoint's state alone, never of the tracked sigma or of the path
+that reached it.
 No other module knows the transpositions, so no other one predicts.
 """
 
@@ -44,6 +37,7 @@ from .perm import Permutation, _trusted
 from .picture import PictureWord, act, step
 from .quiver import ExtendedExchangeMatrix, permute_rows
 from .roots import SignedGenerator
+from .search import ExchangeWalk
 from .standard import factor_standard, is_standard
 
 
@@ -126,74 +120,9 @@ class TrackedState:
         return TrackedState(state, sigma, self.factors + tuple(steps))
 
 
-class ExchangeWalk:
-    """The piece of a start's exchange graph that sequences from it reach.
-
-    Node 0 is the start.  ``states[i]`` is node i's state and ``_nodes``
-    maps each state, compared by value, back to its index.  Slot
-    ``_steps[i][k - 1]`` holds ``(generator, target node)`` for vertex k at
-    node i once some sequence has taken that step, filled by
-    ``picture.step`` (plain ``mutate``); ``_observed[i]`` holds node i's
-    observation, the permutation part of its c-matrix times the inverse of
-    the start's, once some sequence has ended there.  So ``to(seq)``
-    mutates each (state, vertex) pair once and ``observed`` factors each
-    endpoint once, in whatever order the sequences come.  The walk holds
-    nothing the formula decides: sigma is folded from the start's by the
-    caller on every call.  Its size is bounded by the distinct states its
-    sequences reached from the start, each with n slots; it holds no
-    reference cycle, so they are freed as soon as the walk is dropped.
-    """
-
-    __slots__ = ("start", "sigma", "back", "states", "_nodes", "_steps",
-                 "_observed")
-
-    def __init__(self, m: ExtendedExchangeMatrix):
-        self.start = m
-        self.sigma = _factored_sigma(m)
-        self.back = self.sigma.inverse()
-        self.states = []
-        self._nodes = {}
-        self._steps = []
-        self._observed = []
-        self._node(m)
-
-    def _node(self, state: ExtendedExchangeMatrix) -> int:
-        node = self._nodes.get(state)
-        if node is None:
-            node = self._nodes[state] = len(self.states)
-            self.states.append(state)
-            self._steps.append([None] * state.n)
-            self._observed.append(None)
-        return node
-
-    def to(self, seq: Sequence[int]) -> tuple[
-            int, tuple[SignedGenerator, ...]]:
-        """The endpoint node of ``seq`` and the generators it spells, in
-        application order.  A vertex out of range raises ``IndexError``
-        from ``picture.step``, after the steps before it."""
-        n = self.start.n
-        steps = self._steps
-        node = 0
-        factors = []
-        for k in seq:
-            slot = steps[node][k - 1] if 0 < k <= n else None
-            if slot is None:
-                g, state = step(self.states[node], k)
-                slot = steps[node][k - 1] = g, self._node(state)
-            factors.append(slot[0])
-            node = slot[1]
-        return node, tuple(factors)
-
-    def observed(self, node: int) -> Permutation:
-        """Node ``node``'s permutation part, factored from scratch the first
-        time, times the inverse of the start's."""
-        rho = self._observed[node]
-        if rho is None:
-            rho = self._observed[node] = (
-                _factored_sigma(self.states[node]) * self.back)
-        return rho
-
-
+# per thread, while verify is given the same start object: its walk, the
+# start's sigma and inverse, and the observation of each node a sequence
+# ended at
 _local = threading.local()
 
 
@@ -224,35 +153,43 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
            corrupt: bool = False) -> FormulaReport:
     """Predict the permutation of one sequence and compare it.
 
-    The sequence is walked on this thread's ``ExchangeWalk``, kept from the
-    call before while that call was given the same start object ``m``, so
-    that calls checking many sequences from one start mutate each distinct
-    (state, vertex) step once and factor each distinct endpoint once; an
-    equal state built anew gets a fresh walk, so the work a call does
-    depends only on earlier calls given the same object.  The walk keeps
-    what ``mutate`` and ``factor_standard`` decide, nothing of the formula:
-    the prediction is folded afresh on every call, from the start's sigma
-    through ``transposition_of`` of each generator, and times the inverse
-    of the start's sigma is ``formula_permutation`` of the word the walk
-    spells.  The observation is independent of the prediction and of the
-    path: the endpoint's c-matrix factored with ``factor_standard``, the
-    first time a sequence ends at that state, and its permutation part
-    times the inverse of the start's, never the tracked sigma.  Raises
-    ``IndexError`` for a vertex out of range and ``ValueError`` when a step
-    spells no signed root or the starting or ending c-matrix does not
-    factor through a standard matrix.
+    The sequence is walked on this thread's ``search.ExchangeWalk``, kept
+    from the call before while that call was given the same start object
+    ``m``, so that calls checking many sequences from one start mutate each
+    distinct (state, vertex) step once and factor each distinct endpoint
+    once; an equal state built anew gets a fresh walk.  The prediction is
+    folded afresh on every call, from the start's sigma through
+    ``transposition_of`` of each generator the walk spells, never stored.
+    The observation is the endpoint's permutation part, from
+    ``factor_standard`` the first time a sequence ends at that node, times
+    the inverse of the start's.  Raises ``IndexError`` for a vertex out of
+    range and ``ValueError`` when a step spells no signed root or the
+    starting or ending c-matrix does not factor through a standard matrix.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
     """
     walk = getattr(_local, "walk", None)
-    if walk is None or walk.start is not m:
+    if walk is None or walk.states[0] is not m:
+        sigma = _factored_sigma(m)
         walk = _local.walk = ExchangeWalk(m)
-    node, factors = walk.to(seq)
-    predicted = _trusted(_advance(walk.sigma.images, factors)) * walk.back
+        _local.sigma, _local.back, _local.observed = (
+            sigma, sigma.inverse(), {})
+    node, factors = 0, []
+    for k in seq:
+        g, target = walk.step(node, k)
+        if g is None:
+            raise ValueError(f"c-vector of vertex {k} is not a signed root: "
+                             f"{walk.states[node].c_row(k)}")
+        factors.append(g)
+        node = target
+    predicted = _trusted(_advance(_local.sigma.images, factors)) * _local.back
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
-    observed = walk.observed(node)
+    observed = _local.observed.get(node)
+    if observed is None:
+        observed = _local.observed[node] = (
+            _factored_sigma(walk.states[node]) * _local.back)
     verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
-    return FormulaReport(PictureWord(factors), walk.sigma, predicted,
-                         observed, verdict)
+    return FormulaReport(PictureWord(tuple(factors)), _local.sigma,
+                         predicted, observed, verdict)

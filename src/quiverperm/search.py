@@ -11,8 +11,11 @@ listings, flat replay against prefix-sharing search) so that agreement
 between the two is evidence, not tautology.  ``enumerate_mgs`` walks the
 standard quotient graph of ``quotient_graph``, and ``mgs_census`` reads its
 counts off the same graph without listing; ``count_mgs`` and the other
-counting functions mutate plain states.  Permutations here are observed,
-never predicted: the transposition formula is not visible to this module.
+counting functions mutate plain states.  ``ExchangeWalk`` is the one lazily
+built piece of a start's exchange graph: ``enumerate_loops`` walks one per
+call, and ``formula.verify`` keeps one per thread.  Permutations here are
+observed, never predicted: the transposition formula is not visible to
+this module.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .perm import Permutation, _trusted
 from .picture import PictureWord
@@ -224,6 +227,45 @@ def count_mgs(n: int) -> int:
     return total
 
 
+class ExchangeWalk:
+    """The piece of a start's exchange graph that walks from it reach.
+
+    Node 0 is the start ``states[0]``; ``states[i]`` is node i's state and
+    ``_nodes`` maps each state, compared by value, back to its index.
+    ``step(i, k)`` mutates node i at vertex k with plain ``mutate`` the
+    first time and keeps ``(generator, target node)`` in the slot
+    ``_steps[i][k - 1]``, the generator being the signed root that k's
+    c-vector spelled before the step, or ``None`` if it spelled none; a
+    later step there is a lookup.  So each (state, vertex) pair is mutated
+    once, in whatever order walks take them.  The walk holds no reference
+    cycle, so its states are freed as soon as it is dropped.
+    """
+
+    __slots__ = ("states", "_nodes", "_steps")
+
+    def __init__(self, m: ExtendedExchangeMatrix):
+        self.states = [m]
+        self._nodes = {m: 0}
+        self._steps = [[None] * m.n]
+
+    def step(self, node: int,
+             k: int) -> tuple[Optional[SignedGenerator], int]:
+        """The generator vertex ``k`` spells at ``node`` and the node it
+        leads to.  A vertex out of range raises ``mutate``'s
+        ``IndexError``."""
+        steps = self._steps[node]
+        slot = steps[k - 1] if 0 < k <= len(steps) else None
+        if slot is None:
+            state = self.states[node]
+            target = mutate(state, k)
+            i = self._nodes.setdefault(target, len(self.states))
+            if i == len(self.states):
+                self.states.append(target)
+                self._steps.append([None] * len(steps))
+            slot = steps[k - 1] = vector_to_signed_root(state.c_row(k)), i
+        return slot
+
+
 @dataclass(frozen=True)
 class LoopResult:
     sequence: tuple[int, ...]
@@ -237,38 +279,41 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     (k, k).  Depth-first over the full prefix tree, so lexicographic with
     prefixes first.
 
-    Each expanded state's successors ``(k, neighbor, rho or None)`` are
-    memoized for the call, so mutation and the loop test
-    ``find_row_permutation`` run once per distinct state within
-    ``max_len - 1`` steps of ``m``, not once per prefix.  The search
-    recurses per step: past half the recursion limit it raises ValueError.
+    The prefixes walk an ``ExchangeWalk`` from ``m`` by node, and the loop
+    test ``find_row_permutation`` is kept per node, so mutation runs once
+    per distinct (state, vertex) pair within ``max_len - 1`` steps of
+    ``m`` and the loop test once per distinct state within ``max_len``,
+    not once per prefix.  The search recurses per step: past half the
+    recursion limit it raises ValueError.
     """
     deepest = sys.getrecursionlimit() // 2
     if max_len > deepest:
         raise ValueError(f"loop length {max_len} exceeds {deepest}, the "
                          "longest the depth-first search accepts")
+    vertices = range(1, m.n + 1)
     out: list[LoopResult] = []
     seq: list[int] = []
 
-    # the memo and the results are passed in, not closed over, as in
-    # enumerate_mgs: the recursive closure is a reference cycle
-    def dfs(state: ExtendedExchangeMatrix, memo: dict, sink: list[LoopResult]):
-        if len(seq) >= max_len:
-            return
-        succ = memo.get(state)
-        if succ is None:
-            succ = memo[state] = []
-            for k in range(1, m.n + 1):
-                neighbor = mutate(state, k)
-                succ.append((k, neighbor, find_row_permutation(m, neighbor)))
-        for k, neighbor, rho in succ:
+    # the walk, its nodes' permutations and the results are passed in, not
+    # closed over, as in enumerate_mgs: the recursive closure is a
+    # reference cycle
+    def dfs(walk: ExchangeWalk, node: int, rhos: list,
+            sink: list[LoopResult]):
+        deeper = len(seq) + 1 < max_len
+        for k in vertices:
+            target = walk.step(node, k)[1]
+            if target == len(rhos):  # a node this step added
+                rhos.append(find_row_permutation(m, walk.states[target]))
+            rho = rhos[target]
             seq.append(k)
             if rho is not None:
                 sink.append(LoopResult(tuple(seq), rho))
-            dfs(neighbor, memo, sink)
+            if deeper:
+                dfs(walk, target, rhos, sink)
             seq.pop()
 
-    dfs(m, {}, out)
+    if max_len > 0:
+        dfs(ExchangeWalk(m), 0, [find_row_permutation(m, m)], out)
     return out
 
 

@@ -7,11 +7,15 @@
   under the public ``mutate``.  It shares no traversal code with the
   library's ``build_exchange_graph``, ``count_reachable_states`` or
   ``quotient_graph``;
+- ``skew_symmetric``: a hypothesis strategy for exchange matrices of any
+  type;
 - ``drop_transposition``: the negative control that takes one generator's
   transposition out of the formula.
 """
 
 import functools
+
+from hypothesis import strategies as st
 
 import quiverperm.formula
 from quiverperm import (ExchangeMatrix, Permutation, Root, SignedGenerator,
@@ -40,6 +44,19 @@ def reachable(n, depth=None):
                     if (s := mutate(m, k)) not in seen and not seen.add(s)]
         steps += 1
     return sorted(seen, key=lambda m: m.c)
+
+
+@st.composite
+def skew_symmetric(draw, max_n=5, bound=3):
+    """A random skew-symmetric exchange matrix, n <= max_n, entries in
+    -bound..bound."""
+    n = draw(st.integers(1, max_n))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-bound, bound))
+            rows[j][i] = -rows[i][j]
+    return ExchangeMatrix(tuple(map(tuple, rows)))
 
 
 def drop_transposition(monkeypatch, g0):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import weakref
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import quiverperm.formula
-import quiverperm.picture
+import quiverperm.search
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, FormulaReport,
                         Permutation, PictureWord, Root, SignedGenerator,
                         TrackedState, Verdict, apply_sequence, act_word,
@@ -284,6 +285,14 @@ def current_walk():
     return quiverperm.formula._local.walk
 
 
+def endpoint(walk, seq):
+    """The state ``seq`` reaches on ``walk``, step by step from its start."""
+    node = 0
+    for k in seq:
+        node = walk.step(node, k)[1]
+    return walk.states[node]
+
+
 def assert_shared_walk_matches_standalone(m, sequences):
     """Every report from ``verify``'s walk, kept across ``sequences``,
     equals the standalone pieces for its sequence alone."""
@@ -292,7 +301,7 @@ def assert_shared_walk_matches_standalone(m, sequences):
     for seq in sequences:
         report = verify(m, seq)
         assert current_walk() is walk
-        assert walk.states[walk.to(seq)[0]] == apply_sequence(m, seq)
+        assert endpoint(walk, seq) == apply_sequence(m, seq)
         assert_matches_standalone(m, seq, report)
 
 
@@ -387,7 +396,7 @@ def test_walk_frees_its_states_when_the_start_changes():
     try:
         verify(a, (2, 1, 2))
         walk = current_walk()
-        reached = weakref.ref(walk.states[walk.to((2, 1))[0]])
+        reached = weakref.ref(endpoint(walk, (2, 1)))
         del walk
         assert reached() == b
         verify(b, (1,))
@@ -420,14 +429,15 @@ def test_shared_walk_edge_cases():
 
 
 def test_walk_mutates_each_step_and_factors_each_endpoint_once(monkeypatch):
+    # listed first: quotient_graph mutates through the same module
+    sequences = [r.sequence for r in enumerate_mgs(4)]
     mutated, factored = [], []
-    real_mutate = quiverperm.picture.mutate
+    real_mutate = quiverperm.search.mutate
     real_factor = quiverperm.formula.factor_standard
-    monkeypatch.setattr(quiverperm.picture, "mutate",
+    monkeypatch.setattr(quiverperm.search, "mutate",
                         lambda m, k: mutated.append(k) or real_mutate(m, k))
     monkeypatch.setattr(quiverperm.formula, "factor_standard",
                         lambda c: factored.append(c) or real_factor(c))
-    sequences = [r.sequence for r in enumerate_mgs(4)]
     m = framed(ExchangeMatrix.straight_a(4))
     # a fresh thread, so no walk left from m by another test shares steps
     in_fresh_thread(lambda: [verify(m, seq) for seq in sequences])
@@ -453,7 +463,7 @@ def test_verify_follows_a_change_of_start():
     for seq in [loop.sequence for loop in enumerate_loops(a, 4)]:
         for m in (a, b, a, a_again):
             assert_matches_standalone(m, seq, verify(m, seq))
-            assert current_walk().start is m
+            assert current_walk().states[0] is m
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["two", "one"])
@@ -495,8 +505,8 @@ def test_walk_stores_no_sigma_across_calls(monkeypatch):
     assert verify(m, (2, 1, 2)).verdict is Verdict.MATCH
     walk = current_walk()
     calls = []
-    real = quiverperm.picture.mutate
-    monkeypatch.setattr(quiverperm.picture, "mutate",
+    real = quiverperm.search.mutate
+    monkeypatch.setattr(quiverperm.search, "mutate",
                         lambda state, k: calls.append(k) or real(state, k))
     drop_transposition(monkeypatch, X02)
     report = verify(m, (2, 1, 2))
@@ -552,6 +562,20 @@ def test_verify_walks_through_an_unfactorable_state():
     # c-row (1, 2) is not a root, but (2, 2) returns to the start
     m = framed(ExchangeMatrix(((0, 2), (-2, 0))))
     assert verify(m, (2, 2)).verdict is Verdict.MATCH
+
+
+def test_verify_names_the_step_that_spells_no_root():
+    # after vertex 2 the c-row of vertex 1 is (1, 2), not a root: the walk
+    # raises what word_from_sequence raises, on the step that takes it
+    # first and on the slot that step left
+    m = framed(ExchangeMatrix(((0, 2), (-2, 0))))
+    message = "c-vector of vertex 1 is not a signed root: (1, 2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        word_from_sequence(m, (2, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify(m, (2, 1))
+    assert current_walk().states[0] is m
 
 
 def test_verify_observation_ignores_the_transpositions(monkeypatch):

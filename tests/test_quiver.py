@@ -11,7 +11,7 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         vertex_color)
 from quiverperm.quiver import _reconstructor, matrix_from_json
 
-from common import A2, A3, reachable
+from common import A2, A3, reachable, skew_symmetric
 
 A1 = ExchangeMatrix.straight_a(1)
 
@@ -111,19 +111,6 @@ def test_vertex_color_rejects_mixed_signs():
     bad = ExtendedExchangeMatrix(zero2, ((1, -1), (0, 1)))
     with pytest.raises(ValueError):
         vertex_color(bad, 1)
-
-
-@st.composite
-def skew_symmetric(draw, max_n=5, bound=3):
-    """A random skew-symmetric exchange matrix, n <= max_n, entries in
-    -bound..bound."""
-    n = draw(st.integers(1, max_n))
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = draw(st.integers(-bound, bound))
-            rows[j][i] = -rows[i][j]
-    return ExchangeMatrix(tuple(map(tuple, rows)))
 
 
 @given(st.one_of(st.integers(1, 5).map(ExchangeMatrix.straight_a),

@@ -6,6 +6,7 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import quiverperm.search
 from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
@@ -17,7 +18,8 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         graph_to_dot, is_all_red, is_standard, mgs_census,
                         mutate, reconstructed_b, verify, vertex_color)
 
-from common import A2, X01, X02, X12, drop_transposition, graph
+from common import (A2, X01, X02, X12, drop_transposition, graph,
+                    skew_symmetric)
 
 
 def test_enumerate_mgs_rank1():
@@ -103,14 +105,25 @@ def test_mgs_antichain_and_order():
     pytest.param(lambda: enumerate_loops(framed(ExchangeMatrix.straight_a(3)),
                                          4), id="loops"),
 ])
-def test_enumeration_frees_results_without_a_collection(enumerate_):
+def test_enumeration_frees_results_without_a_collection(enumerate_,
+                                                      monkeypatch):
     # results held by a reference cycle would outlive the caller's list
-    # until the next cyclic collection; so would a loop permutation held
-    # by the successor memo of enumerate_loops
+    # until the next cyclic collection; so would the states the enumeration
+    # reached, and a loop permutation kept per node by enumerate_loops
+    reached = []
+    real = quiverperm.search.mutate
+
+    def watched(state, k):
+        out = real(state, k)
+        reached.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(quiverperm.search, "mutate", watched)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         results = enumerate_()
+        assert reached and all(ref() is None for ref in reached)
         first = weakref.ref(results[0])
         permutation = weakref.ref(results[0].permutation)
         del results
@@ -283,24 +296,54 @@ def test_loops_replay_from_other_basepoints():
     assert (1, 1) in [r.sequence for r in results]
 
 
-@pytest.mark.parametrize("m", [
-    pytest.param(framed(ExchangeMatrix(((0, 2, 0), (-2, 0, 1), (0, -1, 0)))),
-                 id="double-arrow"),
-    pytest.param(mutate(framed(ExchangeMatrix.straight_a(3)), 2),
-                 id="A3-not-framed"),
-])
-def test_enumerate_loops_matches_flat_replay(m):
-    # the memoized search against every sequence replayed from scratch,
-    # off type A and away from the framed state
+@st.composite
+def loop_starts(draw):
+    """``framed(b0)`` for a skew-symmetric ``b0`` of any type, n <= 3, after
+    up to four drawn mutations."""
+    m = framed(draw(skew_symmetric(max_n=3, bound=2)))
+    return apply_sequence(m, draw(st.lists(st.integers(1, m.n), max_size=4)))
+
+
+@given(loop_starts(), st.integers(0, 5))
+@example(framed(ExchangeMatrix(((0, 2, 0), (-2, 0, 1), (0, -1, 0)))), 6)
+@example(mutate(framed(ExchangeMatrix.straight_a(3)), 2), 6)
+def test_enumerate_loops_matches_flat_replay(m, max_len):
+    # the walk against every sequence replayed from scratch, off type A and
+    # away from the framed state
     reference = []
-    for length in range(1, 7):
+    for length in range(1, max_len + 1):
         for seq in product(range(1, m.n + 1), repeat=length):
             rho = find_row_permutation(m, apply_sequence(m, seq))
             if rho is not None:
                 reference.append((seq, rho))
-    got = [(r.sequence, r.permutation) for r in enumerate_loops(m, 6)]
+    got = [(r.sequence, r.permutation) for r in enumerate_loops(m, max_len)]
     assert got == sorted(reference)
-    assert len(got) == count_loops_by_replay(m, 6)
+    assert len(got) == count_loops_by_replay(m, max_len)
+
+
+@pytest.mark.parametrize("max_len", [2, 4, 6])
+def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
+        monkeypatch, max_len):
+    m = framed(ExchangeMatrix.straight_a(3))
+    mutated, tested = [], []
+    real_mutate = quiverperm.search.mutate
+    real_test = quiverperm.search.find_row_permutation
+    monkeypatch.setattr(quiverperm.search, "mutate",
+                        lambda s, k: mutated.append(k) or real_mutate(s, k))
+    monkeypatch.setattr(quiverperm.search, "find_row_permutation",
+                        lambda a, b: tested.append(b) or real_test(a, b))
+    enumerate_loops(m, max_len)
+    monkeypatch.undo()
+    # the distinct states at each prefix length, on plain mutate
+    levels = [{m}]
+    for _ in range(max_len):
+        levels.append({mutate(s, k) for s in levels[-1] for k in (1, 2, 3)})
+    steps = {(s, k) for level in levels[:-1] for s in level for k in (1, 2, 3)}
+    # one mutation per step; one loop test per state reached, the start
+    # included, where a memo of each expanded state's successors makes one
+    # per step
+    assert len(mutated) == len(steps)
+    assert len(tested) == len(set().union(*levels)) < len(steps)
 
 
 @pytest.mark.parametrize("n,depth", [(3, 4)])
