@@ -175,14 +175,7 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
         walk = _local.walk = ExchangeWalk(m)
         _local.sigma, _local.back, _local.observed = (
             sigma, sigma.inverse(), {})
-    node, factors = 0, []
-    for k in seq:
-        g, target = walk.step(node, k)
-        if g is None:
-            raise ValueError(f"c-vector of vertex {k} is not a signed root: "
-                             f"{walk.states[node].c_row(k)}")
-        factors.append(g)
-        node = target
+    factors, node = walk.run(seq)
     predicted = _trusted(_advance(_local.sigma.images, factors)) * _local.back
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)

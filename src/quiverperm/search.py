@@ -13,24 +13,27 @@ standard quotient graph of ``quotient_graph``, and ``mgs_census`` reads its
 counts off the same graph without listing; ``count_mgs`` and the other
 counting functions mutate plain states.  ``ExchangeWalk`` is the one lazily
 built piece of a start's exchange graph: ``enumerate_loops`` walks one per
-call, and ``formula.verify`` keeps one per thread.  Permutations here are
-observed, never predicted: the transposition formula is not visible to
-this module.
+call and drops a prefix once its distance on the same quotient graph back
+to the start exceeds the steps it has left, and ``formula.verify`` keeps
+one per thread.  Permutations here are observed, never predicted: the
+transposition formula is not visible to this module.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .perm import Permutation, _trusted
 from .picture import PictureWord
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
                      _reconstructor, apply_sequence, find_row_permutation,
-                     framed, mutate, permute_rows, vertex_color)
+                     framed, mutate, permute_rows, reconstructed_b,
+                     vertex_color)
 from .roots import SignedGenerator, vector_to_signed_root
 from .standard import factor_standard
 
@@ -236,8 +239,9 @@ class ExchangeWalk:
     first time and keeps ``(generator, target node)`` in the slot
     ``_steps[i][k - 1]``, the generator being the signed root that k's
     c-vector spelled before the step, or ``None`` if it spelled none; a
-    later step there is a lookup.  So each (state, vertex) pair is mutated
-    once, in whatever order walks take them.  The walk holds no reference
+    later step there is a lookup.  ``run(seq)`` walks a whole sequence
+    from node 0, reading filled slots itself.  So each (state, vertex)
+    pair is mutated once, in whatever order walks take them.  The walk holds no reference
     cycle, so its states are freed as soon as it is dropped.
     """
 
@@ -265,6 +269,25 @@ class ExchangeWalk:
             slot = steps[k - 1] = vector_to_signed_root(state.c_row(k)), i
         return slot
 
+    def run(self, seq: Sequence[int]) -> tuple[list[SignedGenerator], int]:
+        """The generators ``seq`` spells from node 0 and the node it ends
+        at.  Filled slots are read in this loop and ``step`` runs only on
+        the rest.  A vertex out of range raises ``mutate``'s
+        ``IndexError``, and a step whose c-vector spells no signed root
+        raises ``ValueError``."""
+        slots, n = self._steps, len(self._steps[0])
+        node, factors = 0, []
+        for k in seq:
+            slot = slots[node][k - 1] if 0 < k <= n else None
+            g, target = slot or self.step(node, k)
+            if g is None:
+                raise ValueError(
+                    f"c-vector of vertex {k} is not a signed root: "
+                    f"{self.states[node].c_row(k)}")
+            factors.append(g)
+            node = target
+        return factors, node
+
 
 @dataclass(frozen=True)
 class LoopResult:
@@ -272,48 +295,100 @@ class LoopResult:
     permutation: Permutation
 
 
+@functools.cache
+def _straight_b(n: int) -> IntMatrix:
+    """Straight A_n's b-part, validated once per rank."""
+    return ExchangeMatrix.straight_a(n).b
+
+
+@functools.cache
+def _quotient_rows(n: int) -> tuple[dict[frozenset, int],
+                                    tuple[tuple[int, ...], ...]]:
+    """``quotient_graph(n)`` without its states: each node's set of c-rows
+    mapped to its index, and each node's neighbours.  A reachable state's
+    row set is that of its standard node, since moving rows keeps the set.
+    Built once per rank; no state is kept, so walks still free theirs."""
+    q = quotient_graph(n)
+    return ({frozenset(node.c): i for i, node in enumerate(q.nodes)},
+            tuple(tuple(edge.target for edge in row) for row in q.edges))
+
+
+def _distance_to(m: ExtendedExchangeMatrix
+                 ) -> Callable[[ExtendedExchangeMatrix], int]:
+    """A lower bound on the steps a state reached from ``m`` needs to come
+    back to ``m`` up to a row permutation.
+
+    For a relabelled standard state of straight A_n it is exact: the
+    distance on Q between the two states' nodes, from one breadth-first
+    search.  Every exchange-graph path projects onto a Q path and every Q
+    path lifts from any lift of its source, so the Q distance is the
+    distance to ``m``'s row-permutation class.  Any other ``m`` gets 0
+    everywhere, so nothing is pruned; its b-part is checked first, because
+    framed states of other matrices share Q's framed row set.
+    """
+    n = m.n
+    if m.b == reconstructed_b(_straight_b(n), m.c):
+        index, neighbours = _quotient_rows(n)
+        start = index.get(frozenset(m.c))
+        if start is not None:
+            distance = [None] * len(neighbours)
+            distance[start] = 0
+            frontier = [start]
+            for i in frontier:  # grows while it is walked
+                for j in neighbours[i]:
+                    if distance[j] is None:
+                        distance[j] = distance[i] + 1
+                        frontier.append(j)
+            return lambda state: distance[index[frozenset(state.c)]]
+    return lambda state: 0
+
+
 def enumerate_loops(m: ExtendedExchangeMatrix,
                     max_len: int) -> list[LoopResult]:
     """Every sequence of length <= max_len that returns to ``m`` up to a
     row permutation, with that permutation.  Includes the trivial loops
-    (k, k).  Depth-first over the full prefix tree, so lexicographic with
-    prefixes first.
+    (k, k).  Depth-first over the prefixes that can still return, so
+    lexicographic with prefixes first.
 
-    The prefixes walk an ``ExchangeWalk`` from ``m`` by node, and the loop
-    test ``find_row_permutation`` is kept per node, so mutation runs once
-    per distinct (state, vertex) pair within ``max_len - 1`` steps of
-    ``m`` and the loop test once per distinct state within ``max_len``,
-    not once per prefix.  The search recurses per step: past half the
-    recursion limit it raises ValueError.
+    The prefixes walk an ``ExchangeWalk`` from ``m`` by node.  A prefix
+    with r steps left goes on only if its node lies within r steps of
+    ``m``'s row-permutation class, by ``_distance_to``; off straight A_n
+    every prefix goes on.  The loop test ``find_row_permutation`` and the
+    distance are kept per node, so mutation runs once per distinct
+    (state, vertex) pair the search expands and the loop test once per
+    distinct state it reaches, not once per prefix.  The search recurses
+    per step: past half the recursion limit it raises ValueError.
     """
     deepest = sys.getrecursionlimit() // 2
     if max_len > deepest:
         raise ValueError(f"loop length {max_len} exceeds {deepest}, the "
                          "longest the depth-first search accepts")
-    vertices = range(1, m.n + 1)
     out: list[LoopResult] = []
     seq: list[int] = []
 
-    # the walk, its nodes' permutations and the results are passed in, not
-    # closed over, as in enumerate_mgs: the recursive closure is a
-    # reference cycle
-    def dfs(walk: ExchangeWalk, node: int, rhos: list,
+    # the walk, its nodes' loop permutations and distances, and the results
+    # are passed in, not closed over, as in enumerate_mgs: the recursive
+    # closure is a reference cycle
+    def dfs(walk: ExchangeWalk, node: int, known: list,
             sink: list[LoopResult]):
-        deeper = len(seq) + 1 < max_len
-        for k in vertices:
-            target = walk.step(node, k)[1]
-            if target == len(rhos):  # a node this step added
-                rhos.append(find_row_permutation(m, walk.states[target]))
-            rho = rhos[target]
+        left = max_len - len(seq) - 1  # steps left after this one
+        for k, slot in enumerate(walk._steps[node], start=1):
+            target = (slot or walk.step(node, k))[1]
+            if target == len(known):  # a node this step added
+                state = walk.states[target]
+                known.append((find_row_permutation(m, state),
+                              distance(state)))
+            rho, far = known[target]
             seq.append(k)
             if rho is not None:
                 sink.append(LoopResult(tuple(seq), rho))
-            if deeper:
-                dfs(walk, target, rhos, sink)
+            if left and far <= left:
+                dfs(walk, target, known, sink)
             seq.pop()
 
     if max_len > 0:
-        dfs(ExchangeWalk(m), 0, [find_row_permutation(m, m)], out)
+        distance = _distance_to(m)
+        dfs(ExchangeWalk(m), 0, [(find_row_permutation(m, m), 0)], out)
     return out
 
 

@@ -111,8 +111,9 @@ def test_loop_count_by_transfer_matrix(n, max_len, expected):
 
 @pytest.mark.slow
 def test_loop_count_rank4_by_enumeration():
-    # the depth-first loop search from each of the 1008 states, sharing no
-    # traversal code with Q or the transfer matrix
+    # the depth-first loop search from each of the 1008 states: it reads
+    # only distances off Q, to prune, and finds every loop on plain states,
+    # so it shares no counting code with the transfer matrix
     states = graph(4).nodes.values()
     assert sum(len(enumerate_loops(s, 7)) for s in states) == 601440
 

@@ -16,10 +16,11 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         count_reachable_states, enumerate_loops,
                         enumerate_mgs, find_row_permutation, framed,
                         graph_to_dot, is_all_red, is_standard, mgs_census,
-                        mutate, reconstructed_b, verify, vertex_color)
+                        mutate, permute_rows, reconstructed_b, verify,
+                        vertex_color)
 
-from common import (A2, X01, X02, X12, drop_transposition, graph,
-                    skew_symmetric)
+from common import (A2, A3, X01, X02, X12, drop_transposition, graph,
+                    reachable, skew_symmetric)
 
 
 def test_enumerate_mgs_rank1():
@@ -304,28 +305,52 @@ def loop_starts(draw):
     return apply_sequence(m, draw(st.lists(st.integers(1, m.n), max_size=4)))
 
 
-def assert_loops_match_flat_replay(m, max_len):
+def flat_replay(m, max_len):
+    """Every loop of length <= max_len from ``m``, each sequence replayed
+    from scratch, in lexicographic order with prefixes first."""
     reference = []
     for length in range(1, max_len + 1):
         for seq in product(range(1, m.n + 1), repeat=length):
             rho = find_row_permutation(m, apply_sequence(m, seq))
             if rho is not None:
                 reference.append((seq, rho))
-    got = [(r.sequence, r.permutation) for r in enumerate_loops(m, max_len)]
-    assert got == sorted(reference)
+    return sorted(reference)
+
+
+def listed(m, max_len):
+    return [(r.sequence, r.permutation) for r in enumerate_loops(m, max_len)]
+
+
+def assert_loops_match_flat_replay(m, max_len):
+    got = listed(m, max_len)
+    assert got == flat_replay(m, max_len)
     assert len(got) == count_loops_by_replay(m, max_len)
 
 
 @pytest.mark.parametrize("m", [
     pytest.param(framed(ExchangeMatrix(((0, 2, 0), (-2, 0, 1), (0, -1, 0)))),
                  id="double-arrow"),
-    pytest.param(mutate(framed(ExchangeMatrix.straight_a(3)), 2),
-                 id="A3-not-framed"),
+    pytest.param(mutate(framed(A3), 2), id="A3-not-framed"),
+    # c = I is the row set of Q's framed node: only the b-part tells this
+    # start from straight A_3's, and the walk must not be pruned on Q
+    pytest.param(framed(ExchangeMatrix(((0, -1, 0), (1, 0, -1), (0, 1, 0)))),
+                 id="mirrored-A3"),
+    pytest.param(permute_rows(apply_sequence(framed(A3), (2, 3, 1)),
+                              Permutation((3, 1, 2))), id="A3-relabelled"),
 ])
 def test_enumerate_loops_matches_flat_replay(m):
-    # the walk against every sequence replayed from scratch, off type A and
-    # away from the framed state
+    # the walk against every sequence replayed from scratch, off type A,
+    # away from the framed state and with the rows moved
     assert_loops_match_flat_replay(m, 6)
+
+
+@pytest.mark.parametrize("n,max_len", [(2, 6), (3, 5)])
+def test_pruned_loops_match_flat_replay_at_every_reachable_start(n, max_len):
+    # pruning on Q loses no loop and adds none, from any start of the rank
+    starts = reachable(n)
+    assert len(starts) == {2: 10, 3: 84}[n]
+    for m in starts:
+        assert listed(m, max_len) == flat_replay(m, max_len)
 
 
 @given(loop_starts(), st.integers(0, 5))
@@ -333,10 +358,31 @@ def test_enumerate_loops_matches_flat_replay_on_drawn_starts(m, max_len):
     assert_loops_match_flat_replay(m, max_len)
 
 
-@pytest.mark.parametrize("max_len", [2, 4, 6])
+def distances(edges, sources):
+    """Breadth-first distances on the exchange graph from a set of nodes."""
+    out = dict.fromkeys(sources, 0)
+    frontier = list(out)
+    for i in frontier:  # grows while it is walked
+        for j in edges[i]:
+            if j not in out:
+                out[j] = out[i] + 1
+                frontier.append(j)
+    return out
+
+
+@pytest.mark.parametrize("m,max_len", [
+    *[pytest.param(framed(A3), n, id=f"{n}") for n in (2, 4, 6, 7)],
+    *[pytest.param(m, n, id=f"{name}-{n}") for n in (2, 4, 6, 7)
+      for name, m in [
+          ("mutated", apply_sequence(framed(A3), (2, 1))),
+          ("relabelled", permute_rows(apply_sequence(framed(A3), (1, 3)),
+                                      Permutation((2, 3, 1))))]],
+])
 def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
-        monkeypatch, max_len):
-    m = framed(ExchangeMatrix.straight_a(3))
+        monkeypatch, m, max_len):
+    # the rank's quotient table mutates through the same module; built
+    # first, it is counted by no test, whatever ran before
+    quiverperm.search._quotient_rows(3)
     mutated, tested = [], []
     real_mutate = quiverperm.search.mutate
     real_test = quiverperm.search.find_row_permutation
@@ -346,16 +392,23 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
                         lambda a, b: tested.append(b) or real_test(a, b))
     enumerate_loops(m, max_len)
     monkeypatch.undo()
-    # the distinct states at each prefix length, on plain mutate
-    levels = [{m}]
-    for _ in range(max_len):
-        levels.append({mutate(s, k) for s in levels[-1] for k in (1, 2, 3)})
-    steps = {(s, k) for level in levels[:-1] for s in level for k in (1, 2, 3)}
-    # one mutation per step; one loop test per state reached, the start
-    # included, where a memo of each expanded state's successors makes one
-    # per step
-    assert len(mutated) == len(steps)
-    assert len(tested) == len(set().union(*levels)) < len(steps)
+    # on the exchange graph, not on Q: a state is expanded when a loop can
+    # still pass through it, that is when its distance from m plus its
+    # distance back to m's row-permutation class is at most max_len
+    states = list(graph(3).nodes.values())
+    edges = graph(3).edges
+    start = distances(edges, [states.index(m)])
+    back = distances(edges, [i for i, s in enumerate(states)
+                             if find_row_permutation(m, s) is not None])
+    expanded = {i for i, d in start.items()
+                if d < max_len and d + back[i] <= max_len}
+    reached = expanded.union(*(edges[i] for i in expanded))
+    # one mutation per step of an expanded state; one loop test per state
+    # reached, the start included
+    assert len(mutated) == 3 * len(expanded)
+    assert len(tested) == len(reached)
+    if max_len > 2:  # fewer than every state within max_len - 1 steps
+        assert len(expanded) < sum(d < max_len for d in start.values())
 
 
 @pytest.mark.parametrize("n,depth", [(3, 4)])
