@@ -125,39 +125,62 @@ def mutate(m: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
     running over all 2n columns.  An involution: mutating twice at the same
     vertex restores the state.
 
+    Only the entries that change are visited.  Row i != k changes only if
+    ``b[i][k]`` is nonzero, and then only at entry k and at the columns
+    where row k has the sign of ``b[i][k]``; it gains ``|b[i][k]|`` times
+    row k's entry there.  Every row that does not change, b-row or c-row,
+    is the input's own tuple, shared with the result.
+
     Mutation preserves skew-symmetry and shape, so the result is not
     re-validated; only a c-row that changes is checked, because it can
     become zero on a state not reachable from a framed quiver, which
     raises ``ValueError``.
     """
-    n = m.n
+    b = m.b
+    c = m.c
+    n = len(b)
     if not 1 <= k <= n:
         raise IndexError(f"vertex {k} out of range 1..{n}")
     k0 = k - 1
-    bk = m.b[k0]
-    ck = m.c[k0]
-    new_b = []
-    new_c = []
-    for i, (row_b, row_c) in enumerate(zip(m.b, m.c)):
-        if i == k0:
-            new_b.append(tuple([-x for x in row_b]))
-            new_c.append(tuple([-x for x in row_c]))
-            continue
-        bik = row_b[k0]
-        if bik == 0:
-            new_b.append(row_b)
-            new_c.append(row_c)
-            continue
-        # sgn(bik) * max(bik * y, 0) is |bik| * y where bik * y > 0, else 0
-        a = abs(bik)
-        row_b = [x + a * y if bik * y > 0 else x for x, y in zip(row_b, bk)]
-        row_b[k0] = -bik
-        new_b.append(tuple(row_b))
-        row_c = tuple([x + a * y if bik * y > 0 else x
-                       for x, y in zip(row_c, ck)])
-        if not any(row_c):
-            raise ValueError("every c-vector must be nonzero")
-        new_c.append(row_c)
+    bk = b[k0]
+    ck = c[k0]
+    new_b = list(b)
+    new_c = list(c)
+    new_b[k0] = tuple([-x for x in bk])
+    new_c[k0] = tuple([-x for x in ck])
+    # b[i][k0] == -bk[i], so the rows that change are where bk is nonzero
+    pos = []
+    neg = []
+    for j, y in enumerate(bk):
+        if y > 0:
+            pos.append((j, y))
+        elif y:
+            neg.append((j, y))
+    if pos or neg:
+        cpos = []
+        cneg = []
+        for j, y in enumerate(ck):
+            if y > 0:
+                cpos.append((j, y))
+            elif y:
+                cneg.append((j, y))
+        # a row with bk[i] < 0 has b[i][k0] > 0 and gains at row k's
+        # positive entries; a row with bk[i] > 0 at its negative ones
+        for rows, bcols, ccols in ((neg, pos, cpos), (pos, neg, cneg)):
+            for i, bki in rows:
+                a = bki if bki > 0 else -bki
+                row = list(b[i])
+                for j, y in bcols:
+                    row[j] += a * y
+                row[k0] = bki
+                new_b[i] = tuple(row)
+                if ccols:
+                    row = list(c[i])
+                    for j, y in ccols:
+                        row[j] += a * y
+                    if not any(row):
+                        raise ValueError("every c-vector must be nonzero")
+                    new_c[i] = tuple(row)
     return _trusted_state(tuple(new_b), tuple(new_c))
 
 

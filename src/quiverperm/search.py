@@ -61,9 +61,9 @@ def build_exchange_graph(n: int) -> ExchangeGraph:
 
     Two checks run on the way.  A new node's b-part must equal C B0 C^t,
     read from a table of x B0 y^t on pairs of its c-rows that is filled as
-    pairs appear and dropped when the call returns; a revisited node must
-    equal the state stored for its c-matrix.  Either failure raises
-    ``AssertionError``.
+    pairs appear and dropped when the call returns; a revisited node's
+    b-part must equal that of the state stored for its c-matrix.  Either
+    failure raises ``AssertionError``.
     """
     b0 = ExchangeMatrix.straight_a(n)
     reconstruct = _reconstructor(b0.b)
@@ -81,7 +81,7 @@ def build_exchange_graph(n: int) -> ExchangeGraph:
                         "b-part disagrees with C B0 C^t at a new node")
                 i = index[neighbor.c] = len(states)
                 states.append(neighbor)
-            elif states[i] != neighbor:
+            elif states[i].b != neighbor.b:
                 raise AssertionError(
                     "two mutation paths reached the same c-matrix "
                     "with different b-parts")

@@ -9,6 +9,8 @@
   ``quotient_graph``;
 - ``skew_symmetric``: a hypothesis strategy for exchange matrices of any
   type;
+- ``reference_mutate``: matrix mutation recomputed entry by entry from the
+  textbook rule, sharing no code or rows with ``mutate``;
 - ``drop_transposition``: the negative control that takes one generator's
   transposition out of the formula.
 """
@@ -18,8 +20,9 @@ import functools
 from hypothesis import strategies as st
 
 import quiverperm.formula
-from quiverperm import (ExchangeMatrix, Permutation, Root, SignedGenerator,
-                        build_exchange_graph, framed, mutate, quotient_graph)
+from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
+                        Root, SignedGenerator, build_exchange_graph, framed,
+                        mutate, quotient_graph)
 
 A2 = ExchangeMatrix.straight_a(2)
 A3 = ExchangeMatrix.straight_a(3)
@@ -57,6 +60,28 @@ def skew_symmetric(draw, max_n=5, bound=3):
             rows[i][j] = draw(st.integers(-bound, bound))
             rows[j][i] = -rows[i][j]
     return ExchangeMatrix(tuple(map(tuple, rows)))
+
+
+def reference_mutate(m, k):
+    """Mutation at ``k`` of the n x 2n matrix [B | C] (Fomin-Zelevinsky):
+    b'_ij = -b_ij if i = k or j = k, else
+    b_ij + sgn(b_ik) * max(b_ik * b_kj, 0), over all 2n columns j.  Every
+    entry is recomputed, and the result goes through the validating
+    constructor, which rejects a zero c-row."""
+    n = m.n
+    if not 1 <= k <= n:
+        raise IndexError(f"vertex {k} out of range 1..{n}")
+    k0 = k - 1
+    full = [m.b[i] + m.c[i] for i in range(n)]
+    out = []
+    for i in range(n):
+        bik = full[i][k0]
+        sgn = (bik > 0) - (bik < 0)
+        out.append([-full[i][j] if i == k0 or j == k0
+                    else full[i][j] + sgn * max(bik * full[k0][j], 0)
+                    for j in range(2 * n)])
+    return ExtendedExchangeMatrix(tuple(tuple(row[:n]) for row in out),
+                                  tuple(tuple(row[n:]) for row in out))
 
 
 def drop_transposition(monkeypatch, g0):

@@ -11,7 +11,7 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         vertex_color)
 from quiverperm.quiver import _reconstructor, matrix_from_json
 
-from common import A2, A3, reachable, skew_symmetric
+from common import A2, A3, graph, reachable, reference_mutate, skew_symmetric
 
 A1 = ExchangeMatrix.straight_a(1)
 
@@ -60,11 +60,55 @@ def test_mutate_framed_a2():
     assert m2.c == ((1, 1), (0, -1))
 
 
+def outcome(f, m, k):
+    """``f(m, k)``, or the type and message of the error it raises."""
+    try:
+        return f(m, k)
+    except (IndexError, ValueError) as e:
+        return type(e), str(e)
+
+
 def test_mutate_out_of_range():
-    with pytest.raises(IndexError):
-        mutate(framed(A2), 0)
-    with pytest.raises(IndexError):
-        mutate(framed(A2), 3)
+    for n in (1, 2, 3):
+        m = framed(ExchangeMatrix.straight_a(n))
+        for k in (0, -1, n + 1):
+            got = outcome(mutate, m, k)
+            assert got == (IndexError, f"vertex {k} out of range 1..{n}")
+            assert got == outcome(reference_mutate, m, k)
+
+
+@given(st.sampled_from([1, 3]).flatmap(lambda bound: skew_symmetric(
+    bound=bound)), st.data())
+def test_mutate_matches_the_entrywise_reference(b0, data):
+    # arbitrary nonzero c-rows, mixed signs included, so rows of every sign
+    # pattern change or are shared; drawn from a small pool and its
+    # negatives, so that with b-entries of size 1 some mutations cancel a
+    # c-row
+    n = b0.n
+    pool = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n).filter(
+        any), min_size=1, max_size=3))
+    pool += [tuple(-x for x in row) for row in pool]
+    m = ExtendedExchangeMatrix(b0.b, tuple(data.draw(
+        st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
+    for k in data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4)):
+        got = outcome(mutate, m, k)
+        assert got == outcome(reference_mutate, m, k)
+        if not isinstance(got, ExtendedExchangeMatrix):
+            break
+        m = got
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4,
+                               pytest.param(5, marks=pytest.mark.slow)])
+def test_mutate_matches_the_entrywise_reference_everywhere(n):
+    for m in graph(n).nodes.values():
+        for k in range(1, n + 1):
+            got = mutate(m, k)
+            assert got == reference_mutate(m, k)
+            # a row other than k's that keeps its entries is the input's tuple
+            for old, new in ((m.b, got.b), (m.c, got.c)):
+                assert all(new[i] is old[i] for i in range(n)
+                           if i != k - 1 and new[i] == old[i])
 
 
 def test_c_row_out_of_range():
