@@ -175,14 +175,16 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
         walk = _local.walk = ExchangeWalk(m)
         _local.sigma, _local.back, _local.observed = (
             sigma, sigma.inverse(), {})
+    sigma, back, observations = _local.sigma, _local.back, _local.observed
     factors, node = walk.run(seq)
-    predicted = _trusted(_advance(_local.sigma.images, factors)) * _local.back
+    predicted = _trusted(_advance(sigma.images, factors)) * back
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
-    observed = _local.observed.get(node)
+    observed = observations.get(node)
     if observed is None:
-        observed = _local.observed[node] = (
-            _factored_sigma(walk.states[node]) * _local.back)
-    verdict = Verdict.MATCH if predicted == observed else Verdict.MISMATCH
-    return FormulaReport(PictureWord(tuple(factors)), _local.sigma,
-                         predicted, observed, verdict)
+        observed = observations[node] = (
+            _factored_sigma(walk.states[node]) * back)
+    verdict = (Verdict.MATCH if predicted.images == observed.images
+               else Verdict.MISMATCH)
+    return FormulaReport(PictureWord(tuple(factors)), sigma, predicted,
+                         observed, verdict)

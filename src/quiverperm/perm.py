@@ -82,20 +82,18 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its smallest element."""
-        seen = set()
+        images = self.images
+        seen = [False] * (len(images) + 1)
         out = []
-        for start in range(1, self.n + 1):
-            if start in seen:
+        for start, x in enumerate(images, start=1):
+            if seen[start] or x == start:
                 continue
             cycle = [start]
-            seen.add(start)
-            x = self(start)
             while x != start:
                 cycle.append(x)
-                seen.add(x)
-                x = self(x)
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
+                seen[x] = True
+                x = images[x - 1]
+            out.append(tuple(cycle))
         return tuple(out)
 
     def cycle_string(self) -> str:
@@ -104,7 +102,7 @@ class Permutation:
         if not cycles:
             return "id"
         sep = " " if self.n > 9 else ""
-        return "".join("(" + sep.join(str(x) for x in c) + ")" for c in cycles)
+        return "".join("(" + sep.join(map(str, c)) + ")" for c in cycles)
 
     def __str__(self) -> str:
         return self.cycle_string()

@@ -9,14 +9,16 @@ Counting functions deliberately use a different traversal style than their
 enumerating counterparts (breadth-first level counts against depth-first
 listings, flat replay against prefix-sharing search) so that agreement
 between the two is evidence, not tautology.  ``enumerate_mgs`` walks the
-standard quotient graph of ``quotient_graph``, and ``mgs_census`` reads its
+standard quotient graph Q of ``quotient_graph``, and ``mgs_census`` reads its
 counts off the same graph without listing; ``count_mgs`` and the other
 counting functions mutate plain states.  ``ExchangeWalk`` is the one lazily
 built piece of a start's exchange graph: ``enumerate_loops`` walks one per
-call and drops a prefix once its distance on the same quotient graph back
-to the start exceeds the steps it has left, and ``formula.verify`` keeps
-one per thread.  Permutations here are observed, never predicted: the
-transposition formula is not visible to this module.
+call and drops a prefix once its distance on Q back to the start exceeds
+the steps it has left, and ``formula.verify`` keeps one per thread.  All
+three readers of Q read the per-rank Q table ``_quotient_table``, built by
+one ``quotient_graph`` on the first call at each rank; it keeps Q's row
+sets and edges but no state.  Permutations here are observed, never
+predicted: the transposition formula is not visible to this module.
 """
 
 from __future__ import annotations
@@ -133,24 +135,56 @@ class QuotientGraph(NamedTuple):
 
 def quotient_graph(n: int) -> QuotientGraph:
     """Breadth-first build of Q from the framed straight-A_n state, one
-    plain ``mutate`` and one ``factor_standard`` per (node, row)."""
+    plain ``mutate`` and one ``factor_standard`` per (node, row).  Edges
+    with equal ``rho`` share one ``Permutation``."""
     nodes = [framed(ExchangeMatrix.straight_a(n))]
     index = {nodes[0]: 0}
+    rhos: dict[Permutation, Permutation] = {}
     edges = []
     for node in nodes:  # grows while it is walked
         out = []
         for r in range(1, n + 1):
             mutated = mutate(node, r)
             fact = factor_standard(mutated.c)
-            target = permute_rows(mutated, fact.rho.inverse())
+            rho = rhos.setdefault(fact.rho, fact.rho)
+            target = permute_rows(mutated, rho.inverse())
             i = index.get(target)
             if i is None:
                 i = index[target] = len(nodes)
                 nodes.append(target)
             out.append(QuotientEdge(vector_to_signed_root(node.c_row(r)), i,
-                                    fact.rho))
+                                    rho))
         edges.append(tuple(out))
     return QuotientGraph(tuple(nodes), tuple(edges))
+
+
+class _QuotientTable(NamedTuple):
+    """``quotient_graph(n)`` without its states: ``index`` maps each node's
+    set of c-rows to the node, ``edges`` are Q's edges, and ``back[i][r-1]``
+    holds the images of ``edges[i][r-1].rho``'s inverse.  A reachable
+    state's row set is that of its standard node, since moving rows keeps
+    the set."""
+
+    index: dict[frozenset, int]
+    edges: tuple[tuple[QuotientEdge, ...], ...]
+    back: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+@functools.cache
+def _quotient_table(n: int) -> _QuotientTable:
+    """The per-rank Q table that ``enumerate_mgs``, ``mgs_census`` and
+    ``_distance_to`` read, built by one ``quotient_graph(n)`` on the first
+    call at rank n.  It keeps no state, so every state the build made is
+    freed when it returns.  A test that corrupts Q through this module's
+    ``mutate`` or ``factor_standard`` calls ``_quotient_table.cache_clear()``
+    before and after, so that the corrupted build runs and no later reader
+    sees it."""
+    q = quotient_graph(n)
+    back = {rho: rho.inverse().images
+            for rho in {edge.rho for row in q.edges for edge in row}}
+    return _QuotientTable(
+        {frozenset(node.c): i for i, node in enumerate(q.nodes)}, q.edges,
+        tuple(tuple(back[edge.rho] for edge in row) for row in q.edges))
 
 
 @dataclass(frozen=True)
@@ -171,18 +205,17 @@ def _green_vertices(state: ExtendedExchangeMatrix) -> list[int]:
 def enumerate_mgs(n: int) -> list[MGSResult]:
     """All maximal green sequences of straight A_n in lexicographic order.
 
-    A depth-first walk over the states (pi, node) of ``quotient_graph(n)``:
-    vertex k is row pi^{-1}(k) of the node, and stepping along a row moves
-    pi by the row's observed ``rho``.  A sequence is emitted when no green
-    vertex remains; its node is then the coframe, and its permutation is
-    the pi that moves the coframe's rows to the endpoint's.  No cap on the
-    length is needed: every maximal green sequence of A_n has length at
-    most n(n+1)/2.
+    A depth-first walk over the states (pi, node) of Q that reads the
+    per-rank Q table: vertex k is row pi^{-1}(k) of the node, and stepping
+    along a row moves pi by the row's observed ``rho``.  A sequence is
+    emitted when no green vertex remains; its node is then the coframe,
+    and its permutation is the pi that moves the coframe's rows to the
+    endpoint's.  No cap on the length is needed: every maximal green
+    sequence of A_n has length at most n(n+1)/2.
     """
     # pi is carried as its inverse, the row of each vertex, so pi <- pi o rho
-    # is rows <- rho^{-1} o rows; each edge's rho^{-1} is inverted once here
-    steps = [[(edge, edge.rho.inverse().images) for edge in row]
-             for row in quotient_graph(n).edges]
+    # is rows <- rho^{-1} o rows, read from the table's ``back``
+    _, edges, back = _quotient_table(n)
     out: list[MGSResult] = []
     seq: list[int] = []
     factors: list[SignedGenerator] = []
@@ -191,13 +224,15 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
     # reference cycle, which would keep them alive until the next collection
     def dfs(rows: tuple[int, ...], node: int, sink: list[MGSResult]):
         leaf = True
+        out_edges, out_back = edges[node], back[node]
         for k, r in enumerate(rows, start=1):
-            edge, back = steps[node][r - 1]
+            edge = out_edges[r - 1]
             if edge.generator.delta > 0:
                 leaf = False
                 seq.append(k)
                 factors.append(edge.generator)
-                dfs(tuple([back[x - 1] for x in rows]), edge.target, sink)
+                inverse = out_back[r - 1]
+                dfs(tuple([inverse[x - 1] for x in rows]), edge.target, sink)
                 seq.pop()
                 factors.pop()
         if leaf:
@@ -301,18 +336,6 @@ def _straight_b(n: int) -> IntMatrix:
     return ExchangeMatrix.straight_a(n).b
 
 
-@functools.cache
-def _quotient_rows(n: int) -> tuple[dict[frozenset, int],
-                                    tuple[tuple[int, ...], ...]]:
-    """``quotient_graph(n)`` without its states: each node's set of c-rows
-    mapped to its index, and each node's neighbours.  A reachable state's
-    row set is that of its standard node, since moving rows keeps the set.
-    Built once per rank; no state is kept, so walks still free theirs."""
-    q = quotient_graph(n)
-    return ({frozenset(node.c): i for i, node in enumerate(q.nodes)},
-            tuple(tuple(edge.target for edge in row) for row in q.edges))
-
-
 def _distance_to(m: ExtendedExchangeMatrix
                  ) -> Callable[[ExtendedExchangeMatrix], int]:
     """A lower bound on the steps a state reached from ``m`` needs to come
@@ -320,22 +343,24 @@ def _distance_to(m: ExtendedExchangeMatrix
 
     For a relabelled standard state of straight A_n it is exact: the
     distance on Q between the two states' nodes, from one breadth-first
-    search.  Every exchange-graph path projects onto a Q path and every Q
-    path lifts from any lift of its source, so the Q distance is the
-    distance to ``m``'s row-permutation class.  Any other ``m`` gets 0
-    everywhere, so nothing is pruned; its b-part is checked first, because
-    framed states of other matrices share Q's framed row set.
+    search that reads the per-rank Q table.  Every exchange-graph path
+    projects onto a Q path and every Q path lifts from any lift of its
+    source, so the Q distance is the distance to ``m``'s row-permutation
+    class.  Any other ``m`` gets 0 everywhere, so nothing is pruned; its
+    b-part is checked first, because framed states of other matrices share
+    Q's framed row set.
     """
     n = m.n
     if m.b == reconstructed_b(_straight_b(n), m.c):
-        index, neighbours = _quotient_rows(n)
+        index, edges, _ = _quotient_table(n)
         start = index.get(frozenset(m.c))
         if start is not None:
-            distance = [None] * len(neighbours)
+            distance = [None] * len(edges)
             distance[start] = 0
             frontier = [start]
             for i in frontier:  # grows while it is walked
-                for j in neighbours[i]:
+                for edge in edges[i]:
+                    j = edge.target
                     if distance[j] is None:
                         distance[j] = distance[i] + 1
                         frontier.append(j)
@@ -407,14 +432,14 @@ def mgs_census(n: int) -> dict:
     """Count, length histogram, permutation histogram and length range of
     the maximal green sequences of straight A_n, with none listed.
 
-    A maximal green sequence is a path of green edges on
-    ``quotient_graph(n)`` from the framed node to the coframe, and its
+    It reads the per-rank Q table.  A maximal green sequence is a path of
+    green edges on Q from the framed node to the coframe, and its
     permutation is rho_1 o ... o rho_L along the path.  So a memoized DP
     counts each node's walks by (pi, length): those of each green edge's
     target with the edge's ``rho`` composed on the left, or one (id, 0) at
     the coframe.  It recurses at most n(n+1)/2 deep.
     """
-    edges = quotient_graph(n).edges
+    edges = _quotient_table(n).edges
 
     # the memo is passed in, not closed over, as in enumerate_mgs
     def walks(i: int, memo: dict) -> Counter:

@@ -13,6 +13,12 @@
   textbook rule, sharing no code or rows with ``mutate``;
 - ``drop_transposition``: the negative control that takes one generator's
   transposition out of the formula.
+
+``enumerate_mgs``, ``mgs_census`` and ``enumerate_loops`` read Q from
+``search._quotient_table``, which is built once per rank and process.  A
+test that corrupts Q through ``search.mutate`` or ``search.factor_standard``
+must call ``search._quotient_table.cache_clear()`` before and after, or it
+reads the table an earlier test built and leaves its own for later ones.
 """
 
 import functools

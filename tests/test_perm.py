@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,6 +81,42 @@ def test_cycle_string():
 def test_cycles():
     p = Permutation.from_cycles(5, [(1, 3), (2, 4, 5)])
     assert p.cycles() == ((1, 3), (2, 4, 5))
+
+
+def reference_cycle_string(p):
+    """Cycle notation as built point by point through ``p(x)``, kept as
+    the reference for the faster ``cycle_string``."""
+    seen = set()
+    out = []
+    for start in range(1, p.n + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        x = p(start)
+        while x != start:
+            cycle.append(x)
+            seen.add(x)
+            x = p(x)
+        if len(cycle) > 1:
+            out.append(tuple(cycle))
+    if not out:
+        return "id"
+    sep = " " if p.n > 9 else ""
+    return "".join("(" + sep.join(str(x) for x in c) + ")" for c in out)
+
+
+def test_cycles_and_notation_match_the_pointwise_reference():
+    # every permutation of up to six points, and one past nine points,
+    # where the entries are separated by spaces
+    wide = Permutation.from_cycles(10, [(10, 4, 1), (2, 3), (5, 9, 6, 8)])
+    for p in [*(Permutation(images) for n in range(1, 7)
+                for images in permutations(range(1, n + 1))), wide]:
+        cycles = p.cycles()
+        assert Permutation.from_cycles(p.n, cycles) == p
+        assert all(len(c) > 1 and c[0] == min(c) for c in cycles)
+        assert p.cycle_string() == reference_cycle_string(p)
+    assert wide.cycle_string() == "(1 10 4)(2 3)(5 9 6 8)"
 
 
 @given(perms(4))

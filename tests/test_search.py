@@ -16,8 +16,8 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         count_reachable_states, enumerate_loops,
                         enumerate_mgs, find_row_permutation, framed,
                         graph_to_dot, is_all_red, is_standard, mgs_census,
-                        mutate, permute_rows, reconstructed_b, verify,
-                        vertex_color)
+                        mutate, permute_rows, quotient_graph,
+                        reconstructed_b, verify, vertex_color)
 
 from common import (A2, A3, X01, X02, X12, drop_transposition, graph,
                     reachable, skew_symmetric)
@@ -110,7 +110,10 @@ def test_enumeration_frees_results_without_a_collection(enumerate_,
                                                       monkeypatch):
     # results held by a reference cycle would outlive the caller's list
     # until the next cyclic collection; so would the states the enumeration
-    # reached, and a loop permutation kept per node by enumerate_loops
+    # reached, and a loop permutation kept per node by enumerate_loops.
+    # The per-rank Q table is dropped first, so that the states of its
+    # build are watched too
+    quiverperm.search._quotient_table.cache_clear()
     reached = []
     real = quiverperm.search.mutate
 
@@ -130,6 +133,51 @@ def test_enumeration_frees_results_without_a_collection(enumerate_,
         del results
         assert first() is None
         assert permutation() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_quotient_table_is_built_once_per_rank_and_keeps_no_state(
+        monkeypatch):
+    quiverperm.search._quotient_table.cache_clear()
+    made, moved = [], []
+
+    def watch(name, sink):
+        real = getattr(quiverperm.search, name)
+
+        def watched(*args):
+            out = real(*args)
+            sink.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(quiverperm.search, name, watched)
+
+    # the nodes of Q are mutated states with their rows moved back
+    watch("mutate", made)
+    watch("permute_rows", moved)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # one plain mutate per (node, row) of Q(4): 42 nodes, 4 rows
+        first = enumerate_mgs(4)
+        assert len(made) == len(moved) == 42 * 4
+        assert all(ref() is None for ref in made + moved)
+        census = mgs_census(4)
+        assert enumerate_mgs(4) == first
+        assert len(made) == 42 * 4
+        assert census["count"] == len(first) == 98
+        # quotient_graph itself is not cached: every call mutates anew and
+        # returns new states
+        q = quotient_graph(4)
+        assert len(made) == 2 * 42 * 4
+        again = quotient_graph(4)
+        assert len(made) == 3 * 42 * 4
+        assert again == q
+        assert all(a is not b for a, b in zip(again.nodes, q.nodes))
+        # equal rhos share one object, so the table keeps few of them
+        rhos = [edge.rho for row in q.edges for edge in row]
+        assert len({id(rho) for rho in rhos}) == len(set(rhos)) < len(rhos)
     finally:
         if was_enabled:
             gc.enable()
@@ -382,7 +430,7 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
         monkeypatch, m, max_len):
     # the rank's quotient table mutates through the same module; built
     # first, it is counted by no test, whatever ran before
-    quiverperm.search._quotient_rows(3)
+    quiverperm.search._quotient_table(3)
     mutated, tested = [], []
     real_mutate = quiverperm.search.mutate
     real_test = quiverperm.search.find_row_permutation
