@@ -28,7 +28,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .perm import Permutation, _trusted
 from .picture import PictureWord
@@ -265,6 +265,11 @@ def count_mgs(n: int) -> int:
     return total
 
 
+# an ExchangeWalk slot's generator before ``run`` first reads it; ``None``
+# there means the c-vector spells no signed root
+_UNREAD = object()
+
+
 class ExchangeWalk:
     """The piece of a start's exchange graph that walks from it reach.
 
@@ -272,12 +277,14 @@ class ExchangeWalk:
     ``_nodes`` maps each state, compared by value, back to its index.
     ``step(i, k)`` mutates node i at vertex k with plain ``mutate`` the
     first time and keeps ``(generator, target node)`` in the slot
-    ``_steps[i][k - 1]``, the generator being the signed root that k's
-    c-vector spelled before the step, or ``None`` if it spelled none; a
-    later step there is a lookup.  ``run(seq)`` walks a whole sequence
-    from node 0, reading filled slots itself.  So each (state, vertex)
-    pair is mutated once, in whatever order walks take them.  The walk holds no reference
-    cycle, so its states are freed as soon as it is dropped.
+    ``_steps[i][k - 1]``; a later step there is a lookup.  The generator is
+    the signed root that k's c-vector spelled before the step, or ``None``
+    if it spelled none.  It is ``_UNREAD`` until ``run`` first reads the
+    slot, because ``enumerate_loops`` steps without reading it.
+    ``run(seq)`` walks a whole sequence from node 0, reading filled slots
+    itself.  So each (state, vertex) pair is mutated once, in whatever
+    order walks take them.  The walk holds no reference cycle, so its
+    states are freed as soon as it is dropped.
     """
 
     __slots__ = ("states", "_nodes", "_steps")
@@ -287,22 +294,20 @@ class ExchangeWalk:
         self._nodes = {m: 0}
         self._steps = [[None] * m.n]
 
-    def step(self, node: int,
-             k: int) -> tuple[Optional[SignedGenerator], int]:
-        """The generator vertex ``k`` spells at ``node`` and the node it
-        leads to.  A vertex out of range raises ``mutate``'s
-        ``IndexError``."""
+    def step(self, node: int, k: int) -> int:
+        """The node that vertex ``k`` leads to from ``node``.  A vertex out
+        of range raises ``mutate``'s ``IndexError``."""
         steps = self._steps[node]
         slot = steps[k - 1] if 0 < k <= len(steps) else None
-        if slot is None:
-            state = self.states[node]
-            target = mutate(state, k)
-            i = self._nodes.setdefault(target, len(self.states))
-            if i == len(self.states):
-                self.states.append(target)
-                self._steps.append([None] * len(steps))
-            slot = steps[k - 1] = vector_to_signed_root(state.c_row(k)), i
-        return slot
+        if slot is not None:
+            return slot[1]
+        target = mutate(self.states[node], k)
+        i = self._nodes.setdefault(target, len(self.states))
+        if i == len(self.states):
+            self.states.append(target)
+            self._steps.append([None] * len(steps))
+        steps[k - 1] = _UNREAD, i
+        return i
 
     def run(self, seq: Sequence[int]) -> tuple[list[SignedGenerator], int]:
         """The generators ``seq`` spells from node 0 and the node it ends
@@ -313,8 +318,12 @@ class ExchangeWalk:
         slots, n = self._steps, len(self._steps[0])
         node, factors = 0, []
         for k in seq:
-            slot = slots[node][k - 1] if 0 < k <= n else None
-            g, target = slot or self.step(node, k)
+            steps = slots[node]
+            slot = steps[k - 1] if 0 < k <= n else None
+            g, target = slot or (_UNREAD, self.step(node, k))
+            if g is _UNREAD:
+                g = vector_to_signed_root(self.states[node].c_row(k))
+                steps[k - 1] = g, target
             if g is None:
                 raise ValueError(
                     f"c-vector of vertex {k} is not a signed root: "
@@ -398,7 +407,7 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
             sink: list[LoopResult]):
         left = max_len - len(seq) - 1  # steps left after this one
         for k, slot in enumerate(walk._steps[node], start=1):
-            target = (slot or walk.step(node, k))[1]
+            target = walk.step(node, k) if slot is None else slot[1]
             if target == len(known):  # a node this step added
                 state = walk.states[target]
                 known.append((find_row_permutation(m, state),

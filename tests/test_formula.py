@@ -289,7 +289,7 @@ def endpoint(walk, seq):
     """The state ``seq`` reaches on ``walk``, step by step from its start."""
     node = 0
     for k in seq:
-        node = walk.step(node, k)[1]
+        node = walk.step(node, k)
     return walk.states[node]
 
 

@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +12,7 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         is_all_red, mutate, permute_rows,
                         reconstructed_b, state_to_dot, state_to_json,
                         vertex_color)
+from quiverperm import quiver
 from quiverperm.quiver import _reconstructor, matrix_from_json
 
 from common import A2, A3, graph, reachable, reference_mutate, skew_symmetric
@@ -98,17 +102,98 @@ def test_mutate_matches_the_entrywise_reference(b0, data):
         m = got
 
 
+def clear_memo():
+    """Empty ``mutate``'s memo tables."""
+    for table in (quiver._pivots, quiver._b_rows, quiver._c_rows):
+        table.clear()
+
+
+def memo_sizes():
+    return [len(t) for t in (quiver._pivots, quiver._b_rows, quiver._c_rows)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4,
                                pytest.param(5, marks=pytest.mark.slow)])
 def test_mutate_matches_the_entrywise_reference_everywhere(n):
-    for m in graph(n).nodes.values():
-        for k in range(1, n + 1):
-            got = mutate(m, k)
-            assert got == reference_mutate(m, k)
-            # a row other than k's that keeps its entries is the input's tuple
-            for old, new in ((m.b, got.b), (m.c, got.c)):
-                assert all(new[i] is old[i] for i in range(n)
-                           if i != k - 1 and new[i] == old[i])
+    # the first pass fills mutate's memo tables from empty; the second
+    # reads every changed row from them
+    states = list(graph(n).nodes.values())
+    clear_memo()
+    for _ in range(2):
+        for m in states:
+            for k in range(1, n + 1):
+                got = mutate(m, k)
+                assert got == reference_mutate(m, k)
+                # a row other than k's that keeps its entries is the
+                # input's tuple
+                for old, new in ((m.b, got.b), (m.c, got.c)):
+                    assert all(new[i] is old[i] for i in range(n)
+                               if i != k - 1 and new[i] == old[i])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mutate_memo_is_cleared_at_its_limit(monkeypatch, seed):
+    # a random walk on a matrix not of type A meets new rows at most
+    # steps, so with the limit lowered every table fills and is cleared
+    # many times, and every result must still equal the reference
+    limit = 4
+    monkeypatch.setattr(quiver, "_MEMO_LIMIT", limit)
+    rng = random.Random(seed)
+    n = 4
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rng.choice((-2, -1, 1, 2))
+            rows[j][i] = -rows[i][j]
+    m = framed(ExchangeMatrix(tuple(map(tuple, rows))))
+    clear_memo()
+    cleared = [False] * 3
+    for _ in range(60):
+        k = rng.randint(1, n)
+        before = memo_sizes()
+        got = mutate(m, k)
+        assert got == reference_mutate(m, k)
+        after = memo_sizes()
+        assert max(after) <= limit
+        cleared = [done or a < b
+                   for done, a, b in zip(cleared, after, before)]
+        m = got
+    assert all(cleared)
+
+
+def test_mutate_memo_is_shared_between_threads(monkeypatch):
+    # formula.verify walks on several threads, and they share mutate's
+    # tables; with the limit lowered and the switch interval shortened,
+    # clears land between other threads' lookups, and every result must
+    # still be right
+    monkeypatch.setattr(quiver, "_MEMO_LIMIT", 4)
+    pairs = [(m, k) for m in graph(3).nodes.values() for k in (1, 2, 3)]
+    expected = {pair: reference_mutate(*pair) for pair in pairs}
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(1000):
+                m, k = rng.choice(pairs)
+                if mutate(m, k) != expected[m, k]:
+                    wrong.append((m, k))
+        except Exception as exc:  # reported below, not lost with the thread
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_c_row_out_of_range():
@@ -174,10 +259,13 @@ def test_unvalidated_results_pass_validation(b0, data):
 
 def test_mutate_rejects_a_zero_c_vector():
     # valid, but not reachable from a framed quiver: mutating at 2 adds
-    # c-row 2 to c-row 1 and cancels it
+    # c-row 2 to c-row 1 and cancels it.  The cancelled row is never
+    # memoized, so a second call raises too
     m = ExtendedExchangeMatrix(((0, 1), (-1, 0)), ((-1, 0), (1, 0)))
-    with pytest.raises(ValueError, match="every c-vector must be nonzero"):
-        mutate(m, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError,
+                           match="every c-vector must be nonzero"):
+            mutate(m, 2)
 
 
 def test_is_all_red():

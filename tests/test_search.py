@@ -17,7 +17,8 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         enumerate_mgs, find_row_permutation, framed,
                         graph_to_dot, is_all_red, is_standard, mgs_census,
                         mutate, permute_rows, quotient_graph,
-                        reconstructed_b, verify, vertex_color)
+                        reconstructed_b, vector_to_signed_root, verify,
+                        vertex_color)
 
 from common import (A2, A3, X01, X02, X12, drop_transposition, graph,
                     reachable, skew_symmetric)
@@ -257,6 +258,23 @@ def test_reachable_state_count_rank6():
     assert count_reachable_states(6) == math.factorial(6) * catalan7 == 308880
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_build_exchange_graph_mutates_once_per_state_and_vertex(n,
+                                                                monkeypatch):
+    # the benchmark pins search.graph.mutates_per_node at n: one plain
+    # mutate per (state, vertex) pair, none skipped and none repeated
+    calls = []
+    real = quiverperm.search.mutate
+
+    def counted(state, k):
+        calls.append((state.c, k))
+        return real(state, k)
+
+    monkeypatch.setattr(quiverperm.search, "mutate", counted)
+    built = build_exchange_graph(n)
+    assert len(calls) == len(set(calls)) == n * built.node_count
+
+
 def test_graph_edges_are_involutive():
     edges = graph(3).edges
     states = list(graph(3).nodes.values())
@@ -431,15 +449,20 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
     # the rank's quotient table mutates through the same module; built
     # first, it is counted by no test, whatever ran before
     quiverperm.search._quotient_table(3)
-    mutated, tested = [], []
+    mutated, tested, spelled = [], [], []
     real_mutate = quiverperm.search.mutate
     real_test = quiverperm.search.find_row_permutation
+    real_spell = quiverperm.search.vector_to_signed_root
     monkeypatch.setattr(quiverperm.search, "mutate",
                         lambda s, k: mutated.append(k) or real_mutate(s, k))
     monkeypatch.setattr(quiverperm.search, "find_row_permutation",
                         lambda a, b: tested.append(b) or real_test(a, b))
+    monkeypatch.setattr(quiverperm.search, "vector_to_signed_root",
+                        lambda v: spelled.append(v) or real_spell(v))
     enumerate_loops(m, max_len)
     monkeypatch.undo()
+    # the loop test reads states, never the generators their steps spell
+    assert spelled == []
     # on the exchange graph, not on Q: a state is expanded when a loop can
     # still pass through it, that is when its distance from m plus its
     # distance back to m's row-permutation class is at most max_len
@@ -457,6 +480,21 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
     assert len(tested) == len(reached)
     if max_len > 2:  # fewer than every state within max_len - 1 steps
         assert len(expanded) < sum(d < max_len for d in start.values())
+
+
+def test_walk_spells_a_generator_when_run_first_reads_its_slot():
+    # step leaves a slot's generator unread; run spells it then, and still
+    # tells a c-vector that spells no root: on the framed double arrow,
+    # vertex 1's c-row after vertex 2 is (1, 2)
+    walk = quiverperm.search.ExchangeWalk(
+        framed(ExchangeMatrix(((0, 2), (-2, 0)))))
+    node = walk.step(0, 2)
+    assert walk.step(node, 1) == 2
+    assert walk.run((2, 2)) == ([vector_to_signed_root((0, 1)),
+                                 vector_to_signed_root((0, -1))], 0)
+    with pytest.raises(ValueError, match=r"not a signed root: \(1, 2\)$"):
+        walk.run((2, 1))
+    assert walk._steps[node][0] == (None, 2)  # spelled once, as no root
 
 
 @pytest.mark.parametrize("n,depth", [(3, 4)])
