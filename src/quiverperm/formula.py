@@ -11,24 +11,23 @@ A walk follows sigma step by step, sigma <- sigma o (i+1 j), because each
 such step keeps the c-matrix standard (``check_preservation``); after a
 sequence it holds sigma o t_1 o ... o t_N.  ``_advance`` folds sigma over
 the generators a walk spells.  The states and generators come from plain
-``mutate``, through ``picture.step`` for ``TrackedState`` and through
-``search.ExchangeWalk`` for ``verify``, so the formula decides only the
-tracked sigma, never which state comes next.  ``formula_permutation`` is
-the closed form above, the reference the tracked prediction is tested
-against.  Every sequence is compared with one independent observation: the
-permutation part of the endpoint's c-matrix, factored from scratch, times
-the inverse of the start's.  On a loop this is the row permutation from
-the start to the endpoint, and on a reddening sequence from the framed
-start the row permutation from the coframe.  The observation is a function
-of the endpoint's state alone, never of the tracked sigma or of the path
-that reached it.
+``mutate``, through ``picture.step`` for ``TrackedState`` and through the
+thread's ``search.ExchangeWalk`` for ``verify``, so the formula decides
+only the tracked sigma, never which state comes next.
+``formula_permutation`` is the closed form above, the reference the
+tracked prediction is tested against.  Every sequence is compared with one
+independent observation: the permutation part of the endpoint's c-matrix,
+factored from scratch, times the inverse of the start's.  On a loop this
+is the row permutation from the start to the endpoint, and on a reddening
+sequence from the framed start the row permutation from the coframe.  The
+observation is a function of the endpoint's state alone, never of the
+tracked sigma or of the path that reached it.
 No other module knows the transpositions, so no other one predicts.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -37,7 +36,7 @@ from .perm import Permutation, _trusted
 from .picture import PictureWord, act, step
 from .quiver import ExtendedExchangeMatrix, permute_rows
 from .roots import SignedGenerator
-from .search import ExchangeWalk
+from .search import _walk_for
 from .standard import factor_standard, is_standard
 
 
@@ -120,12 +119,6 @@ class TrackedState:
         return TrackedState(state, sigma, self.factors + tuple(steps))
 
 
-# per thread, while verify is given the same start object: its walk, the
-# start's sigma and inverse, and the observation of each node a sequence
-# ended at
-_local = threading.local()
-
-
 class Verdict(Enum):
     MATCH = "match"
     MISMATCH = "mismatch"
@@ -153,14 +146,19 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
            corrupt: bool = False) -> FormulaReport:
     """Predict the permutation of one sequence and compare it.
 
-    The sequence is walked on this thread's ``search.ExchangeWalk``, kept
-    from the call before while that call was given the same start object
-    ``m``, so that calls checking many sequences from one start mutate each
-    distinct (state, vertex) step once and factor each distinct endpoint
-    once; an equal state built anew gets a fresh walk.  The prediction is
-    folded afresh on every call, from the start's sigma through
-    ``transposition_of`` of each generator the walk spells, never stored.
-    The observation is the endpoint's permutation part, from
+    The sequence is walked on this thread's ``search.ExchangeWalk``
+    (``search._walk_for``), kept while this thread's calls here and to
+    ``enumerate_loops`` are given the same start object ``m``, so that
+    calls checking many sequences from one start mutate each distinct
+    (state, vertex) step once, and none at all after
+    ``enumerate_loops(m, ...)`` listed them, and factor each distinct
+    endpoint once; an equal state built anew gets a fresh walk.  The
+    start's sigma, its inverse and the observations are kept in the walk's
+    ``_memo``, so they go with it.  The prediction is folded afresh on
+    every call and never stored: from the start's sigma through
+    ``transposition_of`` of each generator the walk spells, with the
+    start's inverse composed into the fold's images, one ``Permutation``
+    in all.  The observation is the endpoint's permutation part, from
     ``factor_standard`` the first time a sequence ends at that node, times
     the inverse of the start's.  Raises ``IndexError`` for a vertex out of
     range and ``ValueError`` when a step spells no signed root or the
@@ -169,15 +167,14 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
     """
-    walk = getattr(_local, "walk", None)
-    if walk is None or walk.states[0] is not m:
+    walk = _walk_for(m)
+    if walk._memo is None:
         sigma = _factored_sigma(m)
-        walk = _local.walk = ExchangeWalk(m)
-        _local.sigma, _local.back, _local.observed = (
-            sigma, sigma.inverse(), {})
-    sigma, back, observations = _local.sigma, _local.back, _local.observed
+        walk._memo = sigma, sigma.inverse(), {}
+    sigma, back, observations = walk._memo
     factors, node = walk.run(seq)
-    predicted = _trusted(_advance(sigma.images, factors)) * back
+    images = _advance(sigma.images, factors)
+    predicted = _trusted(tuple([images[y - 1] for y in back.images]))
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
     observed = observations.get(node)

@@ -62,8 +62,12 @@ class ExtendedExchangeMatrix:
     """The n x 2n state [B | C]: exchange matrix plus c-matrix.
 
     Rows of ``c`` are the c-vectors.  Hashable, so states can key memo
-    tables directly.
+    tables directly.  Slotted, with no ``__dict__``: a state is two
+    references, and pickling and copying rebuild it through
+    ``_trusted_state``.
     """
+
+    __slots__ = ("b", "c", "__weakref__")
 
     b: IntMatrix
     c: IntMatrix
@@ -87,18 +91,29 @@ class ExtendedExchangeMatrix:
             raise IndexError(f"vertex {k} out of range 1..{self.n}")
         return self.c[k - 1]
 
+    def __reduce__(self):
+        # the default would restore the slots by assignment, which a frozen
+        # dataclass refuses
+        return _trusted_state, (self.b, self.c)
+
 
 class Color(Enum):
     GREEN = "green"
     RED = "red"
 
 
+_set_b = ExtendedExchangeMatrix.b.__set__
+_set_c = ExtendedExchangeMatrix.c.__set__
+
+
 def _trusted_state(b: IntMatrix, c: IntMatrix) -> ExtendedExchangeMatrix:
     """An ``ExtendedExchangeMatrix`` built without ``__post_init__``, for
-    results that are valid by construction."""
+    results that are valid by construction.  Both fields are set through
+    their slot descriptors, which the frozen dataclass's ``__setattr__``
+    does not guard."""
     m = object.__new__(ExtendedExchangeMatrix)
-    object.__setattr__(m, "b", b)
-    object.__setattr__(m, "c", c)
+    _set_b(m, b)
+    _set_c(m, c)
     return m
 
 

@@ -12,9 +12,11 @@ between the two is evidence, not tautology.  ``enumerate_mgs`` walks the
 standard quotient graph Q of ``quotient_graph``, and ``mgs_census`` reads its
 counts off the same graph without listing; ``count_mgs`` and the other
 counting functions mutate plain states.  ``ExchangeWalk`` is the one lazily
-built piece of a start's exchange graph: ``enumerate_loops`` walks one per
-call and drops a prefix once its distance on Q back to the start exceeds
-the steps it has left, and ``formula.verify`` keeps one per thread.  All
+built piece of a start's exchange graph, and each thread keeps one, for one
+start object at a time (``_walk_for``): ``enumerate_loops`` walks it and
+drops a prefix once its distance on Q back to the start exceeds the steps
+it has left, and ``formula.verify`` walks each sequence on it, so verifying
+the loops just listed from the same start mutates nothing again.  All
 three readers of Q read the per-rank Q table ``_quotient_table``, built by
 one ``quotient_graph`` on the first call at each rank; it keeps Q's row
 sets and edges but no state.  Permutations here are observed, never
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import sys
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -283,16 +286,20 @@ class ExchangeWalk:
     slot, because ``enumerate_loops`` steps without reading it.
     ``run(seq)`` walks a whole sequence from node 0, reading filled slots
     itself.  So each (state, vertex) pair is mutated once, in whatever
-    order walks take them.  The walk holds no reference cycle, so its
+    order walks take them.  ``_memo`` is ``None`` until ``formula.verify``
+    first reads the walk; it then holds the start's sigma, its inverse and
+    the observation of each node a sequence ended at, so that they are
+    dropped with the walk.  The walk holds no reference cycle, so its
     states are freed as soon as it is dropped.
     """
 
-    __slots__ = ("states", "_nodes", "_steps")
+    __slots__ = ("states", "_nodes", "_steps", "_memo")
 
     def __init__(self, m: ExtendedExchangeMatrix):
         self.states = [m]
         self._nodes = {m: 0}
         self._steps = [[None] * m.n]
+        self._memo = None
 
     def step(self, node: int, k: int) -> int:
         """The node that vertex ``k`` leads to from ``node``.  A vertex out
@@ -331,6 +338,23 @@ class ExchangeWalk:
             factors.append(g)
             node = target
         return factors, node
+
+
+# this thread's walk; see _walk_for
+_local = threading.local()
+
+
+def _walk_for(m: ExtendedExchangeMatrix) -> ExchangeWalk:
+    """This thread's ``ExchangeWalk``, kept while it is asked for with the
+    same start object ``m`` and otherwise replaced by a new walk from
+    ``m``; an equal state built anew gets a new walk.  ``enumerate_loops``
+    and ``formula.verify`` both read it, so a thread holds one walk at a
+    time, and the states of the one before are freed when it is
+    replaced."""
+    walk = getattr(_local, "walk", None)
+    if walk is None or walk.states[0] is not m:
+        walk = _local.walk = ExchangeWalk(m)
+    return walk
 
 
 @dataclass(frozen=True)
@@ -384,14 +408,16 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     (k, k).  Depth-first over the prefixes that can still return, so
     lexicographic with prefixes first.
 
-    The prefixes walk an ``ExchangeWalk`` from ``m`` by node.  A prefix
-    with r steps left goes on only if its node lies within r steps of
-    ``m``'s row-permutation class, by ``_distance_to``; off straight A_n
+    The prefixes walk this thread's ``ExchangeWalk`` from ``m``
+    (``_walk_for``) by node, so the walk outlives the call until this
+    thread next enumerates or verifies from another start object.  A
+    prefix with r steps left goes on only if its node lies within r steps
+    of ``m``'s row-permutation class, by ``_distance_to``; off straight A_n
     every prefix goes on.  The loop test ``find_row_permutation`` and the
-    distance are kept per node, so mutation runs once per distinct
-    (state, vertex) pair the search expands and the loop test once per
-    distinct state it reaches, not once per prefix.  The search recurses
-    per step: past half the recursion limit it raises ValueError.
+    distance are kept per node for the call, so mutation runs at most once
+    per distinct (state, vertex) pair the search expands and the loop test
+    once per distinct state it reaches, not once per prefix.  The search
+    recurses per step: past half the recursion limit it raises ValueError.
     """
     deepest = sys.getrecursionlimit() // 2
     if max_len > deepest:
@@ -402,17 +428,19 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
 
     # the walk, its nodes' loop permutations and distances, and the results
     # are passed in, not closed over, as in enumerate_mgs: the recursive
-    # closure is a reference cycle
-    def dfs(walk: ExchangeWalk, node: int, known: list,
+    # closure is a reference cycle.  The walk may hold nodes from earlier
+    # calls, so a node's entry is made the first time this call reaches it
+    def dfs(walk: ExchangeWalk, node: int, known: dict,
             sink: list[LoopResult]):
         left = max_len - len(seq) - 1  # steps left after this one
         for k, slot in enumerate(walk._steps[node], start=1):
             target = walk.step(node, k) if slot is None else slot[1]
-            if target == len(known):  # a node this step added
+            entry = known.get(target)
+            if entry is None:
                 state = walk.states[target]
-                known.append((find_row_permutation(m, state),
-                              distance(state)))
-            rho, far = known[target]
+                entry = known[target] = (find_row_permutation(m, state),
+                                         distance(state))
+            rho, far = entry
             seq.append(k)
             if rho is not None:
                 sink.append(LoopResult(tuple(seq), rho))
@@ -422,7 +450,7 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
 
     if max_len > 0:
         distance = _distance_to(m)
-        dfs(ExchangeWalk(m), 0, [(find_row_permutation(m, m), 0)], out)
+        dfs(_walk_for(m), 0, {0: (find_row_permutation(m, m), 0)}, out)
     return out
 
 

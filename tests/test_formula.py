@@ -281,8 +281,8 @@ def assert_matches_standalone(m, seq, report):
 
 
 def current_walk():
-    """The walk ``verify`` kept on this thread."""
-    return quiverperm.formula._local.walk
+    """This thread's walk, which ``verify`` and ``enumerate_loops`` read."""
+    return quiverperm.search._local.walk
 
 
 def endpoint(walk, seq):
@@ -464,6 +464,64 @@ def test_verify_follows_a_change_of_start():
         for m in (a, b, a, a_again):
             assert_matches_standalone(m, seq, verify(m, seq))
             assert current_walk().states[0] is m
+
+
+def test_verify_mutates_nothing_after_enumerate_loops(monkeypatch):
+    # verify walks each loop on the walk that enumerate_loops left from the
+    # same start object.  Over the 84 states of A3 and lengths <= 7 the
+    # enumerations mutate 10620 times and verify never (a walk of its own
+    # would mutate 7740 times more)
+    quiverperm.search._quotient_table(3)  # mutates through the same module
+    # equal starts built anew, so no walk left by an earlier test is reused
+    starts = [ExtendedExchangeMatrix(s.b, s.c)
+              for s in graph(3).nodes.values()]
+    mutated = []
+    real = quiverperm.search.mutate
+    monkeypatch.setattr(quiverperm.search, "mutate",
+                        lambda m, k: mutated.append(k) or real(m, k))
+    verified = 0
+    for m in starts:
+        loops = enumerate_loops(m, 7)
+        enumerated = len(mutated)
+        for loop in loops:
+            report = verify(m, loop.sequence)
+            assert report.verdict is Verdict.MATCH
+            assert report.observed_perm == loop.permutation
+        assert len(mutated) == enumerated
+        verified += len(loops)
+    assert verified == 17100
+    assert len(mutated) == 10620
+
+
+def test_enumerate_loops_frees_the_states_verify_reached(monkeypatch):
+    # one walk per thread: enumerating from another start object replaces
+    # the walk verify left, and every state on it is freed with no cyclic
+    # collection
+    a = framed(A3)
+    b = apply_sequence(a, (2, 1))
+    reached = []
+    real = quiverperm.search.mutate
+
+    def watched(state, k):
+        out = real(state, k)
+        reached.append(weakref.ref(out))
+        return out
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        monkeypatch.setattr(quiverperm.search, "mutate", watched)
+        for seq in itertools.product((1, 2, 3), repeat=4):
+            verify(a, seq)
+        monkeypatch.undo()
+        # a step that reaches a node already on the walk drops its result
+        assert sum(ref() is not None for ref in reached) > 20
+        enumerate_loops(b, 4)
+        assert current_walk().states[0] is b
+        assert all(ref() is None for ref in reached)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["two", "one"])

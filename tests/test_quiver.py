@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +56,30 @@ def test_extended_matrix_validation():
         ExtendedExchangeMatrix(A2.b, ((1, 0),))
     # zero c-vector can never be a signed root
     with pytest.raises(ValueError):
+        ExtendedExchangeMatrix(A2.b, ((1, 0), (0, 0)))
+
+
+def test_states_are_slotted_and_still_pickle_copy_and_weakref():
+    # mutate builds its results through the slot descriptors; pickling and
+    # copying must rebuild them without assigning to a frozen field
+    m = mutate(mutate(framed(A3), 2), 1)
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.b = A3.b
+    copies = [pickle.loads(pickle.dumps(m, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies + [copy.copy(m), copy.deepcopy(m)]:
+        assert type(again) is ExtendedExchangeMatrix
+        assert again == m and hash(again) == hash(m)
+        assert mutate(again, 3) == mutate(m, 3)
+    ref = weakref.ref(m)
+    assert ref() is m
+    del m
+    assert ref() is None
+    # the public constructor still validates
+    with pytest.raises(ValueError, match="skew-symmetric"):
+        ExtendedExchangeMatrix(((0, 1), (1, 0)), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="nonzero"):
         ExtendedExchangeMatrix(A2.b, ((1, 0), (0, 0)))
 
 

@@ -102,18 +102,21 @@ def test_mgs_antichain_and_order():
                 assert a != b[:len(a)]
 
 
-@pytest.mark.parametrize("enumerate_", [
-    pytest.param(lambda: enumerate_mgs(3), id="mgs"),
+@pytest.mark.parametrize("enumerate_,release", [
+    pytest.param(lambda: enumerate_mgs(3), lambda: None, id="mgs"),
     pytest.param(lambda: enumerate_loops(framed(ExchangeMatrix.straight_a(3)),
-                                         4), id="loops"),
+                                         4),
+                 lambda: verify(framed(A2), ()), id="loops"),
 ])
-def test_enumeration_frees_results_without_a_collection(enumerate_,
+def test_enumeration_frees_results_without_a_collection(enumerate_, release,
                                                       monkeypatch):
     # results held by a reference cycle would outlive the caller's list
     # until the next cyclic collection; so would the states the enumeration
     # reached, and a loop permutation kept per node by enumerate_loops.
-    # The per-rank Q table is dropped first, so that the states of its
-    # build are watched too
+    # enumerate_loops leaves its states on the thread's walk, which the
+    # next verify (or enumerate_loops) from another start object replaces;
+    # enumerate_mgs keeps none.  The per-rank Q table is dropped first, so
+    # that the states of its build are watched too
     quiverperm.search._quotient_table.cache_clear()
     reached = []
     real = quiverperm.search.mutate
@@ -128,6 +131,7 @@ def test_enumeration_frees_results_without_a_collection(enumerate_,
     gc.disable()
     try:
         results = enumerate_()
+        release()
         assert reached and all(ref() is None for ref in reached)
         first = weakref.ref(results[0])
         permutation = weakref.ref(results[0].permutation)
@@ -447,8 +451,11 @@ def distances(edges, sources):
 def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
         monkeypatch, m, max_len):
     # the rank's quotient table mutates through the same module; built
-    # first, it is counted by no test, whatever ran before
+    # first, it is counted by no test, whatever ran before.  An equal start
+    # built anew gets a new walk, so no walk left on this thread by an
+    # earlier call from m shares its steps
     quiverperm.search._quotient_table(3)
+    m = ExtendedExchangeMatrix(m.b, m.c)
     mutated, tested, spelled = [], [], []
     real_mutate = quiverperm.search.mutate
     real_test = quiverperm.search.find_row_permutation
