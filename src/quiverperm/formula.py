@@ -30,7 +30,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .perm import Permutation, _trusted
 from .picture import PictureWord, act, step
@@ -77,15 +78,32 @@ def _factored_sigma(m: ExtendedExchangeMatrix) -> Permutation:
     return fact.rho
 
 
+def _composer(images: tuple[int, ...]) -> Callable[[tuple], tuple[int, ...]]:
+    """The function p -> p o q on images tuples, for the permutation q of
+    ``images``: ``operator.itemgetter`` of its 0-based indices, or
+    ``tuple`` at n = 1, where ``itemgetter(0)`` would return a scalar."""
+    return itemgetter(*[y - 1 for y in images]) if len(images) > 1 else tuple
+
+
+_composers: dict[tuple[int, ...], Callable[[tuple], tuple[int, ...]]] = {}
+"""``_composer`` of each permutation ``_advance`` has read from
+``transposition_of``, keyed by its images: at most n(n-1)/2 + 1 of each
+rank n."""
+
+
 def _advance(images: tuple[int, ...],
              factors: Sequence[SignedGenerator]) -> tuple[int, ...]:
     """sigma's images composed, in order, with the transposition of each
-    generator, read from ``transposition_of`` each time: the formula's half
-    of every walk, whose other half is ``picture.step``."""
+    generator, read from ``transposition_of`` each time and composed
+    through ``_composers``: the formula's half of every walk, whose other
+    half is ``picture.step``."""
     n = len(images)
     for g in factors:
         t = transposition_of(g, n).images
-        images = tuple([images[y - 1] for y in t])
+        compose = _composers.get(t)
+        if compose is None:
+            compose = _composers[t] = _composer(t)
+        images = compose(images)
     return images
 
 
@@ -124,8 +142,10 @@ class Verdict(Enum):
     MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
-class FormulaReport:
+class FormulaReport(NamedTuple):
+    """One sequence's check.  A named tuple, not a dataclass, since
+    ``verify`` builds one per call; JSON goes through ``to_json`` only."""
+
     word: PictureWord
     sigma: Permutation
     formula_perm: Permutation
@@ -153,8 +173,8 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     (state, vertex) step once, and none at all after
     ``enumerate_loops(m, ...)`` listed them, and factor each distinct
     endpoint once; an equal state built anew gets a fresh walk.  The
-    start's sigma, its inverse and the observations are kept in the walk's
-    ``_memo``, so they go with it.  The prediction is folded afresh on
+    start's sigma, its inverse, the ``_composer`` of that inverse and the
+    observations are kept in the walk's ``_memo``, so they go with it.  The prediction is folded afresh on
     every call and never stored: from the start's sigma through
     ``transposition_of`` of each generator the walk spells, with the
     start's inverse composed into the fold's images, one ``Permutation``
@@ -170,11 +190,11 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     walk = _walk_for(m)
     if walk._memo is None:
         sigma = _factored_sigma(m)
-        walk._memo = sigma, sigma.inverse(), {}
-    sigma, back, observations = walk._memo
+        back = sigma.inverse()
+        walk._memo = sigma, back, _composer(back.images), {}
+    sigma, back, compose_back, observations = walk._memo
     factors, node = walk.run(seq)
-    images = _advance(sigma.images, factors)
-    predicted = _trusted(tuple([images[y - 1] for y in back.images]))
+    predicted = _trusted(compose_back(_advance(sigma.images, factors)))
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
     observed = observations.get(node)

@@ -14,14 +14,24 @@ from typing import Iterable, Sequence
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of {1..n}, stored as the tuple of images of 1..n."""
+    """A bijection of {1..n}, stored as the tuple of images of 1..n.
+
+    Slotted, with no ``__dict__``, like ``quiver.ExtendedExchangeMatrix``:
+    pickling and copying rebuild it through ``_trusted``.
+    """
+
+    __slots__ = ("images", "__weakref__")
 
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+        images = self.images
+        if type(images) is not tuple or not all(
+                type(x) is int for x in images):
+            raise ValueError(f"images must be a tuple of ints: {images!r}")
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
 
     @property
     def n(self) -> int:
@@ -107,10 +117,20 @@ class Permutation:
     def __str__(self) -> str:
         return self.cycle_string()
 
+    def __reduce__(self):
+        # the default would restore the slot by assignment, which a frozen
+        # dataclass refuses
+        return _trusted, (self.images,)
+
+
+_set_images = Permutation.images.__set__
+
 
 def _trusted(images: tuple[int, ...]) -> Permutation:
     """A ``Permutation`` built without validation, for images that are a
-    permutation by construction."""
+    permutation by construction.  ``images`` is set through its slot
+    descriptor, which the frozen dataclass's ``__setattr__`` does not
+    guard."""
     p = object.__new__(Permutation)
-    object.__setattr__(p, "images", images)
+    _set_images(p, images)
     return p

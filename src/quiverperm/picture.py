@@ -18,16 +18,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .quiver import ExtendedExchangeMatrix, find_row_permutation, mutate
 from .roots import (Root, SignedGenerator, all_roots, root_to_vector,
                     vector_to_signed_root)
 
 
-@dataclass(frozen=True)
-class PictureWord:
-    """Factors in application order: ``factors[0]`` acts first."""
+class PictureWord(NamedTuple):
+    """Factors in application order: ``factors[0]`` acts first.  A named
+    tuple, not a dataclass, since ``formula.verify`` builds one per call."""
 
     factors: tuple[SignedGenerator, ...]
 

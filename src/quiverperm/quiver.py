@@ -23,6 +23,13 @@ def _as_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
+def _all_ints(*matrices: IntMatrix) -> bool:
+    """Every entry an ``int``, not a float or a bool: ``mutate``'s tables
+    are keyed by value, and 1.0 == 1, so one float entry would leak into
+    the rows of integer states."""
+    return all(type(x) is int for m in matrices for row in m for x in row)
+
+
 def _is_skew_symmetric(b: IntMatrix) -> bool:
     n = len(b)
     if any(len(row) != n for row in b):
@@ -38,6 +45,8 @@ class ExchangeMatrix:
     b: IntMatrix
 
     def __post_init__(self):
+        if not _all_ints(self.b):
+            raise ValueError("exchange matrix entries must be ints")
         if not _is_skew_symmetric(self.b):
             raise ValueError("exchange matrix must be skew-symmetric")
 
@@ -74,6 +83,8 @@ class ExtendedExchangeMatrix:
 
     def __post_init__(self):
         n = len(self.b)
+        if not _all_ints(self.b, self.c):
+            raise ValueError("state entries must be ints")
         if not _is_skew_symmetric(self.b):
             raise ValueError("b-part must be skew-symmetric")
         if len(self.c) != n or any(len(row) != n for row in self.c):

@@ -24,6 +24,9 @@ class Root:
     j: int
 
     def __post_init__(self):
+        if type(self.i) is not int or type(self.j) is not int:
+            raise ValueError(f"root ends must be ints, got "
+                             f"({self.i!r}, {self.j!r})")
         if not 0 <= self.i < self.j:
             raise ValueError(f"need 0 <= i < j, got ({self.i}, {self.j})")
 
@@ -40,7 +43,7 @@ class SignedGenerator:
     delta: int = 1
 
     def __post_init__(self):
-        if self.delta not in (1, -1):
+        if type(self.delta) is not int or self.delta not in (1, -1):
             raise ValueError("delta must be +1 or -1")
 
     def __str__(self) -> str:

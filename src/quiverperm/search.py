@@ -287,10 +287,11 @@ class ExchangeWalk:
     ``run(seq)`` walks a whole sequence from node 0, reading filled slots
     itself.  So each (state, vertex) pair is mutated once, in whatever
     order walks take them.  ``_memo`` is ``None`` until ``formula.verify``
-    first reads the walk; it then holds the start's sigma, its inverse and
-    the observation of each node a sequence ended at, so that they are
-    dropped with the walk.  The walk holds no reference cycle, so its
-    states are freed as soon as it is dropped.
+    first reads the walk; it then holds the start's sigma, its inverse,
+    the function that composes with that inverse and the observation of
+    each node a sequence ended at, so that they are dropped with the walk.
+    The walk holds no reference cycle, so its states are freed as soon as
+    it is dropped.
     """
 
     __slots__ = ("states", "_nodes", "_steps", "_memo")

@@ -369,3 +369,16 @@ def test_verify_output_matches_benchmark_digest(tmp_path):
         assert main(argv + ["--out", str(target)]) == 0
         assert hashlib.sha256(target.read_bytes()).hexdigest() \
             == frozen["DIGESTS"][name], name
+
+
+def test_verify_json_output_is_pinned(tmp_path):
+    # the benchmark's digests cover verify's text output only; this pins
+    # the JSON route through FormulaReport.to_json and PictureWord.to_json
+    target = tmp_path / "verify.jsonl"
+    assert main(["verify", "--n", "3", "--max-depth", "6", "--format", "json",
+                 "--out", str(target)]) == 0
+    lines = target.read_text().splitlines()
+    assert len(lines) == 142
+    assert all(json.loads(line)["verdict"] == "match" for line in lines)
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "0321333989ab170a7afd063e298689b681b63d92afea264867edabde1cfb091e")

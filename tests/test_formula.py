@@ -646,6 +646,48 @@ def test_verify_observation_ignores_the_transpositions(monkeypatch):
     assert report.observed_perm == Permutation.transposition(2, 1, 2)
 
 
+def reference_advance(images, factors):
+    """``_advance`` by the list comprehension it replaced."""
+    n = len(images)
+    for g in factors:
+        images = tuple([images[y - 1] for y in transposition_of(g, n).images])
+    return images
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_advance_matches_the_pointwise_fold(monkeypatch, n):
+    monkeypatch.setattr(quiverperm.formula, "_composers", {})
+    rng = random.Random(n)
+    generators = [SignedGenerator(Root(i, j), delta)
+                  for i in range(n) for j in range(i + 1, n + 1)
+                  for delta in (1, -1)]
+    for _ in range(200):
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        factors = rng.choices(generators, k=rng.randrange(12))
+        got = quiverperm.formula._advance(tuple(images), factors)
+        assert type(got) is tuple
+        assert got == reference_advance(tuple(images), factors)
+    assert len(quiverperm.formula._composers) <= n * (n - 1) // 2 + 1
+
+
+def test_composer_table_holds_only_transpositions(monkeypatch):
+    # after a full sweep the table holds each rank's n(n-1)/2
+    # transpositions and its identity, nothing else
+    table = {}
+    monkeypatch.setattr(quiverperm.formula, "_composers", table)
+    for n in range(1, 5):
+        m = framed(ExchangeMatrix.straight_a(n))
+        for result in enumerate_mgs(n) + enumerate_loops(m, 4):
+            assert verify(m, result.sequence).verdict is Verdict.MATCH
+    for n in range(1, 5):
+        keys = {images for images in table if len(images) == n}
+        assert keys == {Permutation.transposition(n, a, b).images
+                        for a in range(1, n + 1) for b in range(a, n + 1)}
+        assert len(keys) == n * (n - 1) // 2 + 1
+    assert len(table) == sum(n * (n - 1) // 2 + 1 for n in range(1, 5))
+
+
 def test_verify_exhaustive_small():
     # every sequence matches; the corrupted prediction never does
     m = framed(A2)

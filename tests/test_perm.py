@@ -1,9 +1,14 @@
+import copy
+import dataclasses
+import pickle
+import weakref
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quiverperm import Permutation
+from quiverperm.perm import _trusted
 
 
 def perms(n):
@@ -24,6 +29,38 @@ def test_validation():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         Permutation((2, 3))
+
+
+@pytest.mark.parametrize("images", [(1.0, 2.0), (True, 2), (2, True),
+                                    [2, 1], range(1, 3), "12"])
+def test_validation_requires_a_tuple_of_ints(images):
+    with pytest.raises(ValueError, match="tuple of ints"):
+        Permutation(images)
+
+
+def test_permutations_are_slotted_and_still_pickle_copy_and_weakref():
+    # composed permutations are built through the slot descriptor; pickling
+    # and copying must rebuild them without assigning to a frozen field
+    p = Permutation((3, 1, 2)) * Permutation.transposition(3, 1, 2)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.images = (1, 2, 3)
+    copies = [pickle.loads(pickle.dumps(p, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies + [copy.copy(p), copy.deepcopy(p)]:
+        assert type(again) is Permutation
+        assert again == p and hash(again) == hash(p)
+        assert again.images == (1, 3, 2) and again.inverse() == p.inverse()
+    assert _trusted((2, 1)) == Permutation((2, 1))
+    ref = weakref.ref(p)
+    assert ref() is p
+    del p
+    assert ref() is None
+    # the public constructor still validates
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((1, 1))
+    with pytest.raises(ValueError, match="tuple of ints"):
+        Permutation([1, 2])
 
 
 def test_transposition():

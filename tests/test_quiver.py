@@ -83,6 +83,25 @@ def test_states_are_slotted_and_still_pickle_copy_and_weakref():
         ExtendedExchangeMatrix(A2.b, ((1, 0), (0, 0)))
 
 
+def test_constructors_reject_entries_that_are_not_ints():
+    # mutate's row tables are keyed by value and 1.0 == 1, so an accepted
+    # float state would leave float rows for integer states to read
+    clear_memo()
+    with pytest.raises(ValueError, match="ints"):
+        ExtendedExchangeMatrix(((0, 1.0), (-1.0, 0)), ((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="ints"):
+        ExtendedExchangeMatrix(A2.b, ((1, 0), (0, 1.0)))
+    with pytest.raises(ValueError, match="ints"):
+        ExtendedExchangeMatrix(((0, True), (-1, 0)), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="ints"):
+        ExchangeMatrix(((0, 1.0), (-1.0, 0)))
+    with pytest.raises(ValueError, match="ints"):
+        ExchangeMatrix(((0, True), (-1, 0)))
+    got = mutate(framed(ExchangeMatrix.straight_a(2)), 1)
+    assert got.b == ((0, -1), (1, 0)) and got.c == ((-1, 0), (0, 1))
+    assert all(type(x) is int for row in got.b + got.c for x in row)
+
+
 def test_mutate_framed_a2():
     m1 = mutate(framed(A2), 1)
     assert m1.b == ((0, -1), (1, 0))

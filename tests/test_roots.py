@@ -19,8 +19,18 @@ def test_root_validation():
         Root(2, 1)
     with pytest.raises(ValueError):
         Root(-1, 0)
+    for i, j in ((0.0, 1.5), (0, True), (False, 1), (0.0, 1)):
+        with pytest.raises(ValueError, match="ints"):
+            Root(i, j)
     assert str(Root(0, 2)) == "b02"
     assert str(Root(3, 12)) == "b(3,12)"
+
+
+def test_signed_generator_validation():
+    assert SignedGenerator(Root(0, 1), -1).delta == -1
+    for delta in (0, 2, True, 1.0, -1.0):
+        with pytest.raises(ValueError, match="delta"):
+            SignedGenerator(Root(0, 1), delta)
 
 
 def test_all_roots():
