@@ -9,11 +9,14 @@ relabeling of mutable vertices is
 
 A walk follows sigma step by step, sigma <- sigma o (i+1 j), because each
 such step keeps the c-matrix standard (``check_preservation``); after a
-sequence it holds sigma o t_1 o ... o t_N.  ``_advance`` folds sigma over
-the generators a walk spells.  The states and generators come from plain
-``mutate``, through ``picture.step`` for ``TrackedState`` and through the
-thread's ``search.ExchangeWalk`` for ``verify``, so the formula decides
-only the tracked sigma, never which state comes next.
+sequence it holds sigma o t_1 o ... o t_N.  Composing on the right with
+(i+1 j) swaps sigma's images of i+1 and j, so ``_advance`` folds sigma over
+the generators a walk spells with one swap each, and ``transposition_of``
+is that fold applied to the identity: the rule is written once.  The
+states and generators come from plain ``mutate``, through ``picture.step``
+for ``TrackedState`` and through the thread's ``search.ExchangeWalk`` for
+``verify``, so the formula decides only the tracked sigma, never which
+state comes next.
 ``formula_permutation`` is the closed form above, the reference the
 tracked prediction is tested against.  Every sequence is compared with one
 independent observation: the permutation part of the endpoint's c-matrix,
@@ -27,11 +30,9 @@ No other module knows the transpositions, so no other one predicts.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .perm import Permutation, _trusted
 from .picture import PictureWord, act, step
@@ -41,13 +42,25 @@ from .search import _walk_for
 from .standard import factor_standard, is_standard
 
 
+def _advance(images: tuple[int, ...],
+             factors: Sequence[SignedGenerator]) -> tuple[int, ...]:
+    """sigma's images composed, in order, with the transposition (i+1 j) of
+    each generator of root (i, j), by swapping the images at 0-based
+    positions i and j - 1: the formula's half of every walk, whose other
+    half is ``picture.step``."""
+    out = list(images)
+    for g in factors:
+        i, j = g.root.i, g.root.j - 1
+        out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
 def transposition_of(g: SignedGenerator, n: int) -> Permutation:
     """(i+1 j) for the generator of root (i, j); identity for simple roots.
-    Built once per rank and pair of points, at most n(n+1) per rank."""
-    return _transposition(n, g.root.i + 1, g.root.j)
-
-
-_transposition = functools.cache(Permutation.transposition)
+    Raises ``ValueError`` when the root lies beyond n."""
+    if g.root.j > n:
+        raise ValueError(f"root {g.root} out of range for n={n}")
+    return _trusted(_advance(tuple(range(1, n + 1)), (g,)))
 
 
 def check_preservation(state: ExtendedExchangeMatrix, g) -> bool:
@@ -76,35 +89,6 @@ def _factored_sigma(m: ExtendedExchangeMatrix) -> Permutation:
     if fact is None:
         raise ValueError("c-matrix does not factor through a standard matrix")
     return fact.rho
-
-
-def _composer(images: tuple[int, ...]) -> Callable[[tuple], tuple[int, ...]]:
-    """The function p -> p o q on images tuples, for the permutation q of
-    ``images``: ``operator.itemgetter`` of its 0-based indices, or
-    ``tuple`` at n = 1, where ``itemgetter(0)`` would return a scalar."""
-    return itemgetter(*[y - 1 for y in images]) if len(images) > 1 else tuple
-
-
-_composers: dict[tuple[int, ...], Callable[[tuple], tuple[int, ...]]] = {}
-"""``_composer`` of each permutation ``_advance`` has read from
-``transposition_of``, keyed by its images: at most n(n-1)/2 + 1 of each
-rank n."""
-
-
-def _advance(images: tuple[int, ...],
-             factors: Sequence[SignedGenerator]) -> tuple[int, ...]:
-    """sigma's images composed, in order, with the transposition of each
-    generator, read from ``transposition_of`` each time and composed
-    through ``_composers``: the formula's half of every walk, whose other
-    half is ``picture.step``."""
-    n = len(images)
-    for g in factors:
-        t = transposition_of(g, n).images
-        compose = _composers.get(t)
-        if compose is None:
-            compose = _composers[t] = _composer(t)
-        images = compose(images)
-    return images
 
 
 @dataclass(frozen=True)
@@ -173,16 +157,16 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     (state, vertex) step once, and none at all after
     ``enumerate_loops(m, ...)`` listed them, and factor each distinct
     endpoint once; an equal state built anew gets a fresh walk.  The
-    start's sigma, its inverse, the ``_composer`` of that inverse and the
-    observations are kept in the walk's ``_memo``, so they go with it.  The prediction is folded afresh on
-    every call and never stored: from the start's sigma through
-    ``transposition_of`` of each generator the walk spells, with the
-    start's inverse composed into the fold's images, one ``Permutation``
-    in all.  The observation is the endpoint's permutation part, from
-    ``factor_standard`` the first time a sequence ends at that node, times
-    the inverse of the start's.  Raises ``IndexError`` for a vertex out of
-    range and ``ValueError`` when a step spells no signed root or the
-    starting or ending c-matrix does not factor through a standard matrix.
+    start's sigma, its inverse and the observations are kept in the walk's
+    ``_memo``, so they go with it.  The prediction is folded afresh on
+    every call and never stored: ``_advance`` swaps two of the start's
+    sigma's images for each generator the walk spells, and the result is
+    composed with the start's inverse.  The observation is the endpoint's
+    permutation part, from ``factor_standard`` the first time a sequence
+    ends at that node, times the inverse of the start's.  Raises
+    ``IndexError`` for a vertex out of range and ``ValueError`` when a step
+    spells no signed root or the starting or ending c-matrix does not
+    factor through a standard matrix.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
@@ -191,10 +175,10 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     if walk._memo is None:
         sigma = _factored_sigma(m)
         back = sigma.inverse()
-        walk._memo = sigma, back, _composer(back.images), {}
-    sigma, back, compose_back, observations = walk._memo
+        walk._memo = sigma, back, {}
+    sigma, back, observations = walk._memo
     factors, node = walk.run(seq)
-    predicted = _trusted(compose_back(_advance(sigma.images, factors)))
+    predicted = _trusted(_advance(sigma.images, factors)) * back
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)
     observed = observations.get(node)

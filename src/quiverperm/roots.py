@@ -12,10 +12,12 @@ suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .quiver import IntMatrix
+
+if TYPE_CHECKING:  # fractions costs a few ms at import, for an annotation
+    from fractions import Fraction
 
 
 @dataclass(frozen=True, order=True)

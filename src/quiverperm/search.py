@@ -268,11 +268,6 @@ def count_mgs(n: int) -> int:
     return total
 
 
-# an ExchangeWalk slot's generator before ``run`` first reads it; ``None``
-# there means the c-vector spells no signed root
-_UNREAD = object()
-
-
 class ExchangeWalk:
     """The piece of a start's exchange graph that walks from it reach.
 
@@ -282,16 +277,13 @@ class ExchangeWalk:
     first time and keeps ``(generator, target node)`` in the slot
     ``_steps[i][k - 1]``; a later step there is a lookup.  The generator is
     the signed root that k's c-vector spelled before the step, or ``None``
-    if it spelled none.  It is ``_UNREAD`` until ``run`` first reads the
-    slot, because ``enumerate_loops`` steps without reading it.
-    ``run(seq)`` walks a whole sequence from node 0, reading filled slots
-    itself.  So each (state, vertex) pair is mutated once, in whatever
-    order walks take them.  ``_memo`` is ``None`` until ``formula.verify``
-    first reads the walk; it then holds the start's sigma, its inverse,
-    the function that composes with that inverse and the observation of
-    each node a sequence ended at, so that they are dropped with the walk.
-    The walk holds no reference cycle, so its states are freed as soon as
-    it is dropped.
+    if it spelled none.  ``run(seq)`` walks a whole sequence from node 0,
+    reading filled slots itself.  So each (state, vertex) pair is mutated
+    once, in whatever order walks take them.  ``_memo`` is ``None`` until
+    ``formula.verify`` first reads the walk; it then holds the start's
+    sigma, its inverse and the observation of each node a sequence ended
+    at, so that they are dropped with the walk.  The walk holds no
+    reference cycle, so its states are freed as soon as it is dropped.
     """
 
     __slots__ = ("states", "_nodes", "_steps", "_memo")
@@ -309,12 +301,13 @@ class ExchangeWalk:
         slot = steps[k - 1] if 0 < k <= len(steps) else None
         if slot is not None:
             return slot[1]
-        target = mutate(self.states[node], k)
+        state = self.states[node]
+        target = mutate(state, k)
         i = self._nodes.setdefault(target, len(self.states))
         if i == len(self.states):
             self.states.append(target)
             self._steps.append([None] * len(steps))
-        steps[k - 1] = _UNREAD, i
+        steps[k - 1] = vector_to_signed_root(state.c_row(k)), i
         return i
 
     def run(self, seq: Sequence[int]) -> tuple[list[SignedGenerator], int]:
@@ -328,10 +321,10 @@ class ExchangeWalk:
         for k in seq:
             steps = slots[node]
             slot = steps[k - 1] if 0 < k <= n else None
-            g, target = slot or (_UNREAD, self.step(node, k))
-            if g is _UNREAD:
-                g = vector_to_signed_root(self.states[node].c_row(k))
-                steps[k - 1] = g, target
+            if slot is None:
+                self.step(node, k)
+                slot = steps[k - 1]
+            g, target = slot
             if g is None:
                 raise ValueError(
                     f"c-vector of vertex {k} is not a signed root: "

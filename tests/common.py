@@ -26,9 +26,9 @@ import functools
 from hypothesis import strategies as st
 
 import quiverperm.formula
-from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Permutation,
-                        Root, SignedGenerator, build_exchange_graph, framed,
-                        mutate, quotient_graph)
+from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Root,
+                        SignedGenerator, build_exchange_graph, framed, mutate,
+                        quotient_graph)
 
 A2 = ExchangeMatrix.straight_a(2)
 A3 = ExchangeMatrix.straight_a(3)
@@ -92,8 +92,10 @@ def reference_mutate(m, k):
 
 def drop_transposition(monkeypatch, g0):
     """Make the formula's transposition of the generator ``g0`` alone the
-    identity."""
-    real = quiverperm.formula.transposition_of
+    identity, by making its one fold skip ``g0``; ``transposition_of``
+    derives from the fold, so it reads the identity for ``g0`` too."""
+    real = quiverperm.formula._advance
     monkeypatch.setattr(
-        quiverperm.formula, "transposition_of",
-        lambda g, n: Permutation.identity(n) if g == g0 else real(g, n))
+        quiverperm.formula, "_advance",
+        lambda images, factors: real(images,
+                                     [g for g in factors if g != g0]))

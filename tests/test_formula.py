@@ -26,14 +26,20 @@ from common import A2, A3, X01, X02, X12, drop_transposition, graph
 
 
 def test_transposition_of():
-    assert transposition_of(X02, 2) == Permutation.transposition(2, 1, 2)
-    assert transposition_of(X01, 2).is_identity()
-    assert transposition_of(X12, 2).is_identity()
-    assert transposition_of(SignedGenerator(Root(1, 3)), 3) \
-        == Permutation.transposition(3, 2, 3)
-    # the sign of the generator does not matter
-    assert transposition_of(SignedGenerator(Root(0, 2), -1), 2) \
-        == transposition_of(X02, 2)
+    # the rule (i+1 j) spelled here without the fold it is written in; the
+    # sign of the generator does not matter
+    for n in range(1, 6):
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                for delta in (1, -1):
+                    g = SignedGenerator(Root(i, j), delta)
+                    assert transposition_of(g, n) \
+                        == Permutation.transposition(n, i + 1, j)
+
+
+def test_transposition_of_rejects_a_root_beyond_n():
+    with pytest.raises(ValueError, match="out of range for n=2"):
+        transposition_of(SignedGenerator(Root(0, 3)), 2)
 
 
 def test_formula_permutation_examples():
@@ -647,16 +653,17 @@ def test_verify_observation_ignores_the_transpositions(monkeypatch):
 
 
 def reference_advance(images, factors):
-    """``_advance`` by the list comprehension it replaced."""
+    """``_advance`` composed point by point with each transposition
+    (i+1 j), spelled by ``Permutation.transposition``."""
     n = len(images)
     for g in factors:
-        images = tuple([images[y - 1] for y in transposition_of(g, n).images])
+        t = Permutation.transposition(n, g.root.i + 1, g.root.j)
+        images = tuple([images[y - 1] for y in t.images])
     return images
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_advance_matches_the_pointwise_fold(monkeypatch, n):
-    monkeypatch.setattr(quiverperm.formula, "_composers", {})
+def test_advance_matches_the_pointwise_fold(n):
     rng = random.Random(n)
     generators = [SignedGenerator(Root(i, j), delta)
                   for i in range(n) for j in range(i + 1, n + 1)
@@ -668,24 +675,6 @@ def test_advance_matches_the_pointwise_fold(monkeypatch, n):
         got = quiverperm.formula._advance(tuple(images), factors)
         assert type(got) is tuple
         assert got == reference_advance(tuple(images), factors)
-    assert len(quiverperm.formula._composers) <= n * (n - 1) // 2 + 1
-
-
-def test_composer_table_holds_only_transpositions(monkeypatch):
-    # after a full sweep the table holds each rank's n(n-1)/2
-    # transpositions and its identity, nothing else
-    table = {}
-    monkeypatch.setattr(quiverperm.formula, "_composers", table)
-    for n in range(1, 5):
-        m = framed(ExchangeMatrix.straight_a(n))
-        for result in enumerate_mgs(n) + enumerate_loops(m, 4):
-            assert verify(m, result.sequence).verdict is Verdict.MATCH
-    for n in range(1, 5):
-        keys = {images for images in table if len(images) == n}
-        assert keys == {Permutation.transposition(n, a, b).images
-                        for a in range(1, n + 1) for b in range(a, n + 1)}
-        assert len(keys) == n * (n - 1) // 2 + 1
-    assert len(table) == sum(n * (n - 1) // 2 + 1 for n in range(1, 5))
 
 
 def test_verify_exhaustive_small():

@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -22,6 +25,18 @@ def test_public_names_are_exported():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)]
     assert sorted(set(public) - set(quiverperm.__all__)) == []
+
+
+def test_cli_import_leaves_fractions_out():
+    # fractions pulls in decimal and numbers, a few ms on every CLI start;
+    # roots needs Fraction only for an annotation
+    src = str(Path(quiverperm.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, quiverperm.cli; "
+            "print(quiverperm.__file__); print('fractions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == [quiverperm.__file__, "False"]
 
 
 def test_no_unused_imports():

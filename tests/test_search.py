@@ -468,8 +468,8 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
                         lambda v: spelled.append(v) or real_spell(v))
     enumerate_loops(m, max_len)
     monkeypatch.undo()
-    # the loop test reads states, never the generators their steps spell
-    assert spelled == []
+    # each step spells the generator of its c-vector as it mutates
+    assert len(spelled) == len(mutated)
     # on the exchange graph, not on Q: a state is expanded when a loop can
     # still pass through it, that is when its distance from m plus its
     # distance back to m's row-permutation class is at most max_len
@@ -489,19 +489,23 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
         assert len(expanded) < sum(d < max_len for d in start.values())
 
 
-def test_walk_spells_a_generator_when_run_first_reads_its_slot():
-    # step leaves a slot's generator unread; run spells it then, and still
-    # tells a c-vector that spells no root: on the framed double arrow,
-    # vertex 1's c-row after vertex 2 is (1, 2)
+def test_walk_spells_a_generator_when_step_fills_its_slot():
+    # step keeps the generator its c-vector spelled next to the target, or
+    # None for a c-vector that spells no root, which run then reports: on
+    # the framed double arrow, vertex 1's c-row after vertex 2 is (1, 2)
     walk = quiverperm.search.ExchangeWalk(
         framed(ExchangeMatrix(((0, 2), (-2, 0)))))
     node = walk.step(0, 2)
+    assert walk._steps[0][1] == (vector_to_signed_root((0, 1)), node)
     assert walk.step(node, 1) == 2
+    assert walk._steps[node][0] == (None, 2)  # spelled once, as no root
+    assert walk.step(node, 2) == 0
+    assert walk._steps[node][1] == (vector_to_signed_root((0, -1)), 0)
     assert walk.run((2, 2)) == ([vector_to_signed_root((0, 1)),
                                  vector_to_signed_root((0, -1))], 0)
     with pytest.raises(ValueError, match=r"not a signed root: \(1, 2\)$"):
         walk.run((2, 1))
-    assert walk._steps[node][0] == (None, 2)  # spelled once, as no root
+    assert walk._steps[node][0] == (None, 2)
 
 
 @pytest.mark.parametrize("n,depth", [(3, 4)])
