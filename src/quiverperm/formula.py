@@ -150,34 +150,36 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
            corrupt: bool = False) -> FormulaReport:
     """Predict the permutation of one sequence and compare it.
 
-    The sequence is walked on this thread's ``search.ExchangeWalk``
-    (``search._walk_for``), kept while this thread's calls here and to
-    ``enumerate_loops`` are given the same start object ``m``, so that
-    calls checking many sequences from one start mutate each distinct
-    (state, vertex) step once, and none at all after
-    ``enumerate_loops(m, ...)`` listed them, and factor each distinct
-    endpoint once; an equal state built anew gets a fresh walk.  The
-    start's sigma, its inverse and the observations are kept in the walk's
+    The sequence is walked on this thread's ``search.ExchangeWalk`` from
+    the node ``m`` is rooted at (``search._walk_for``).  The walk is kept
+    while this thread's calls here and to ``enumerate_loops`` are given
+    starts equal to states on it, and the caller holds the start of the
+    call before, so that calls checking many sequences from one start, or
+    from many starts of one component, mutate each distinct
+    (state, vertex) step once, and none at all after ``enumerate_loops``
+    listed them, and factor each distinct endpoint once per start; any
+    other start gets a fresh walk.  Each
+    root's sigma, its inverse and its observations are kept in the walk's
     ``_memo``, so they go with it.  The prediction is folded afresh on
     every call and never stored: ``_advance`` swaps two of the start's
     sigma's images for each generator the walk spells, and the result is
     composed with the start's inverse.  The observation is the endpoint's
     permutation part, from ``factor_standard`` the first time a sequence
-    ends at that node, times the inverse of the start's.  Raises
-    ``IndexError`` for a vertex out of range and ``ValueError`` when a step
-    spells no signed root or the starting or ending c-matrix does not
-    factor through a standard matrix.
+    from this root ends at that node, times the inverse of the start's.
+    Raises ``IndexError`` for a vertex out of range and ``ValueError`` when
+    a step spells no signed root or the starting or ending c-matrix does
+    not factor through a standard matrix.
 
     ``corrupt`` multiplies the prediction by (1 2), as a negative control:
     every comparison then has to mismatch.
     """
-    walk = _walk_for(m)
-    if walk._memo is None:
+    walk, root = _walk_for(m)
+    memo = walk._memo.get(root)
+    if memo is None:
         sigma = _factored_sigma(m)
-        back = sigma.inverse()
-        walk._memo = sigma, back, {}
-    sigma, back, observations = walk._memo
-    factors, node = walk.run(seq)
+        memo = walk._memo[root] = sigma, sigma.inverse(), {}
+    sigma, back, observations = memo
+    factors, node = walk.run(seq, root)
     predicted = _trusted(_advance(sigma.images, factors)) * back
     if corrupt:
         predicted = predicted * Permutation.transposition(m.n, 1, 2)

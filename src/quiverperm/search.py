@@ -12,11 +12,15 @@ between the two is evidence, not tautology.  ``enumerate_mgs`` walks the
 standard quotient graph Q of ``quotient_graph``, and ``mgs_census`` reads its
 counts off the same graph without listing; ``count_mgs`` and the other
 counting functions mutate plain states.  ``ExchangeWalk`` is the one lazily
-built piece of a start's exchange graph, and each thread keeps one, for one
-start object at a time (``_walk_for``): ``enumerate_loops`` walks it and
-drops a prefix once its distance on Q back to the start exceeds the steps
-it has left, and ``formula.verify`` walks each sequence on it, so verifying
-the loops just listed from the same start mutates nothing again.  All
+built piece of an exchange graph, and each thread keeps one
+(``_walk_for``): while the caller holds the start of the call before,
+every start equal to a state already on it is rooted at that state's
+node, and any other start replaces it.  ``enumerate_loops`` walks it from
+the start's root and drops a prefix once its distance on Q back to the
+start exceeds the steps it has left, and ``formula.verify`` walks each
+sequence on it, so verifying the loops just listed mutates nothing again,
+and the loops of every state of one component mutate each
+(state, vertex) pair once in all.  All
 three readers of Q read the per-rank Q table ``_quotient_table``, built by
 one ``quotient_graph`` on the first call at each rank; it keeps Q's row
 sets and edges but no state.  Permutations here are observed, never
@@ -28,6 +32,7 @@ from __future__ import annotations
 import functools
 import sys
 import threading
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -36,9 +41,9 @@ from typing import Callable, NamedTuple, Sequence
 from .perm import Permutation, _trusted
 from .picture import PictureWord
 from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
-                     _reconstructor, apply_sequence, find_row_permutation,
-                     framed, mutate, permute_rows, reconstructed_b,
-                     vertex_color)
+                     _reconstructor, _trusted_state, apply_sequence,
+                     find_row_permutation, framed, mutate, permute_rows,
+                     reconstructed_b, vertex_color)
 from .roots import SignedGenerator, vector_to_signed_root
 from .standard import factor_standard
 
@@ -269,21 +274,23 @@ def count_mgs(n: int) -> int:
 
 
 class ExchangeWalk:
-    """The piece of a start's exchange graph that walks from it reach.
+    """The piece of an exchange graph that walks from its roots reach.
 
-    Node 0 is the start ``states[0]``; ``states[i]`` is node i's state and
-    ``_nodes`` maps each state, compared by value, back to its index.
+    Node 0 is ``states[0]``, a copy of the walk's first start;
+    ``states[i]`` is node i's state and ``_nodes`` maps each state,
+    compared by value, back to its index.  Any node can root a walk.
     ``step(i, k)`` mutates node i at vertex k with plain ``mutate`` the
     first time and keeps ``(generator, target node)`` in the slot
     ``_steps[i][k - 1]``; a later step there is a lookup.  The generator is
     the signed root that k's c-vector spelled before the step, or ``None``
-    if it spelled none.  ``run(seq)`` walks a whole sequence from node 0,
-    reading filled slots itself.  So each (state, vertex) pair is mutated
-    once, in whatever order walks take them.  ``_memo`` is ``None`` until
-    ``formula.verify`` first reads the walk; it then holds the start's
-    sigma, its inverse and the observation of each node a sequence ended
-    at, so that they are dropped with the walk.  The walk holds no
-    reference cycle, so its states are freed as soon as it is dropped.
+    if it spelled none.  ``run(seq, root)`` walks a whole sequence from
+    node ``root``, reading filled slots itself.  So each (state, vertex)
+    pair is mutated once, in whatever order and from whichever roots walks
+    take them.  ``_memo`` maps each root ``formula.verify`` has read to
+    that start's sigma, its inverse and the observation of each node a
+    sequence from it ended at, so that they are dropped with the walk.
+    The walk holds no reference cycle, so its states are freed as soon as
+    it is dropped.
     """
 
     __slots__ = ("states", "_nodes", "_steps", "_memo")
@@ -292,7 +299,7 @@ class ExchangeWalk:
         self.states = [m]
         self._nodes = {m: 0}
         self._steps = [[None] * m.n]
-        self._memo = None
+        self._memo = {}
 
     def step(self, node: int, k: int) -> int:
         """The node that vertex ``k`` leads to from ``node``.  A vertex out
@@ -310,14 +317,15 @@ class ExchangeWalk:
         steps[k - 1] = vector_to_signed_root(state.c_row(k)), i
         return i
 
-    def run(self, seq: Sequence[int]) -> tuple[list[SignedGenerator], int]:
-        """The generators ``seq`` spells from node 0 and the node it ends
-        at.  Filled slots are read in this loop and ``step`` runs only on
-        the rest.  A vertex out of range raises ``mutate``'s
+    def run(self, seq: Sequence[int],
+            root: int) -> tuple[list[SignedGenerator], int]:
+        """The generators ``seq`` spells from node ``root`` and the node it
+        ends at.  Filled slots are read in this loop and ``step`` runs only
+        on the rest.  A vertex out of range raises ``mutate``'s
         ``IndexError``, and a step whose c-vector spells no signed root
         raises ``ValueError``."""
         slots, n = self._steps, len(self._steps[0])
-        node, factors = 0, []
+        node, factors = root, []
         for k in seq:
             steps = slots[node]
             slot = steps[k - 1] if 0 < k <= n else None
@@ -334,21 +342,33 @@ class ExchangeWalk:
         return factors, node
 
 
-# this thread's walk; see _walk_for
+# this thread's last start (a weak reference), its walk and its root; see
+# _walk_for
 _local = threading.local()
 
 
-def _walk_for(m: ExtendedExchangeMatrix) -> ExchangeWalk:
-    """This thread's ``ExchangeWalk``, kept while it is asked for with the
-    same start object ``m`` and otherwise replaced by a new walk from
-    ``m``; an equal state built anew gets a new walk.  ``enumerate_loops``
-    and ``formula.verify`` both read it, so a thread holds one walk at a
-    time, and the states of the one before are freed when it is
-    replaced."""
-    walk = getattr(_local, "walk", None)
-    if walk is None or walk.states[0] is not m:
-        walk = _local.walk = ExchangeWalk(m)
-    return walk
+def _walk_for(m: ExtendedExchangeMatrix) -> tuple[ExchangeWalk, int]:
+    """This thread's ``ExchangeWalk`` and the node ``m`` is rooted at.
+
+    The start object of the last call is found by an identity test.  While
+    that object is alive, a start equal to a state on the walk is rooted at
+    that state's node.  Any other start replaces the walk by a new one from
+    a copy of it, rooted at node 0, and the old walk's states are freed.  A
+    start off the walk is never added as a second root, so a walk never
+    mixes states of two components or ranks.  The walk never holds the
+    caller's object, so a run whose starts were all dropped leaves nothing
+    that a later run's counts depend on.  ``enumerate_loops`` and
+    ``formula.verify`` both read it."""
+    last = getattr(_local, "last", None)
+    previous = None if last is None else last[0]()
+    if previous is m:
+        return last[1], last[2]
+    walk = None if previous is None else last[1]
+    root = None if walk is None else walk._nodes.get(m)
+    if root is None:
+        walk, root = ExchangeWalk(_trusted_state(m.b, m.c)), 0
+    _local.last = weakref.ref(m), walk, root
+    return walk, root
 
 
 @dataclass(frozen=True)
@@ -402,9 +422,11 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     (k, k).  Depth-first over the prefixes that can still return, so
     lexicographic with prefixes first.
 
-    The prefixes walk this thread's ``ExchangeWalk`` from ``m``
-    (``_walk_for``) by node, so the walk outlives the call until this
-    thread next enumerates or verifies from another start object.  A
+    The prefixes walk this thread's ``ExchangeWalk`` by node from the
+    node ``m`` is rooted at (``_walk_for``), so the walk outlives the call
+    until this thread next enumerates or verifies from a start that is
+    not rooted on it, and the next start the search reached costs no
+    mutation.  A
     prefix with r steps left goes on only if its node lies within r steps
     of ``m``'s row-permutation class, by ``_distance_to``; off straight A_n
     every prefix goes on.  The loop test ``find_row_permutation`` and the
@@ -420,12 +442,14 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     out: list[LoopResult] = []
     seq: list[int] = []
 
-    # the walk, its nodes' loop permutations and distances, and the results
-    # are passed in, not closed over, as in enumerate_mgs: the recursive
-    # closure is a reference cycle.  The walk may hold nodes from earlier
-    # calls, so a node's entry is made the first time this call reaches it
-    def dfs(walk: ExchangeWalk, node: int, known: dict,
-            sink: list[LoopResult]):
+    # the start, the walk, its nodes' loop permutations and distances, and
+    # the results are passed in, not closed over, as in enumerate_mgs: the
+    # recursive closure is a reference cycle, and a start it held would
+    # outlive the call and keep the thread's walk (see _walk_for).  The walk
+    # may hold nodes from earlier calls, so a node's entry is made the first
+    # time this call reaches it
+    def dfs(m: ExtendedExchangeMatrix, walk: ExchangeWalk, node: int,
+            known: dict, sink: list[LoopResult]):
         left = max_len - len(seq) - 1  # steps left after this one
         for k, slot in enumerate(walk._steps[node], start=1):
             target = walk.step(node, k) if slot is None else slot[1]
@@ -439,12 +463,13 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
             if rho is not None:
                 sink.append(LoopResult(tuple(seq), rho))
             if left and far <= left:
-                dfs(walk, target, known, sink)
+                dfs(m, walk, target, known, sink)
             seq.pop()
 
     if max_len > 0:
         distance = _distance_to(m)
-        dfs(_walk_for(m), 0, {0: (find_row_permutation(m, m), 0)}, out)
+        walk, root = _walk_for(m)
+        dfs(m, walk, root, {root: (find_row_permutation(m, m), 0)}, out)
     return out
 
 

@@ -12,7 +12,10 @@
 - ``reference_mutate``: matrix mutation recomputed entry by entry from the
   textbook rule, sharing no code or rows with ``mutate``;
 - ``drop_transposition``: the negative control that takes one generator's
-  transposition out of the formula.
+  transposition out of the formula;
+- ``in_fresh_thread``, ``current_walk`` and ``endpoint``: a thread with no
+  walk yet, this thread's walk and root, and the state a sequence reaches
+  on a walk from a root.
 
 ``enumerate_mgs``, ``mgs_census`` and ``enumerate_loops`` read Q from
 ``search._quotient_table``, which is built once per rank and process.  A
@@ -22,10 +25,12 @@ reads the table an earlier test built and leaves its own for later ones.
 """
 
 import functools
+from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import strategies as st
 
 import quiverperm.formula
+import quiverperm.search
 from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Root,
                         SignedGenerator, build_exchange_graph, framed, mutate,
                         quotient_graph)
@@ -99,3 +104,25 @@ def drop_transposition(monkeypatch, g0):
         quiverperm.formula, "_advance",
         lambda images, factors: real(images,
                                      [g for g in factors if g != g0]))
+
+
+def in_fresh_thread(fn, *args):
+    """``fn(*args)`` on a new thread, which starts with no walk of its own."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def current_walk():
+    """This thread's walk, which ``verify`` and ``enumerate_loops`` read,
+    and the node its last start was rooted at."""
+    _, walk, root = quiverperm.search._local.last
+    return walk, root
+
+
+def endpoint(walk, root, seq):
+    """The state ``seq`` reaches on ``walk``, step by step from node
+    ``root``."""
+    node = root
+    for k in seq:
+        node = walk.step(node, k)
+    return walk.states[node]

@@ -101,8 +101,8 @@ def test_criterion_03_formula_on_every_loop(capsys):
         for state in graph(3).nodes.values():
             sigma = factor_standard(state.c).rho
             # the loops of one basepoint share their prefixes on the walk
-            # enumerate_loops leaves, which verify reads while the start
-            # stays the same
+            # enumerate_loops leaves, which verify reads; every later
+            # basepoint is a node of that walk and is rooted there
             for loop in enumerate_loops(state, max_len=8):
                 report = verify(state, loop.sequence)
                 assert report.verdict is Verdict.MATCH

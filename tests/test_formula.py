@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import math
@@ -9,7 +10,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import quiverperm.formula
 import quiverperm.search
@@ -22,7 +23,9 @@ from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, FormulaReport,
                         relations, transposition_of, verify,
                         word_from_sequence)
 
-from common import A2, A3, X01, X02, X12, drop_transposition, graph
+from common import (A2, A3, X01, X02, X12, current_walk, drop_transposition,
+                    endpoint, graph, in_fresh_thread, reachable,
+                    skew_symmetric)
 
 
 def test_transposition_of():
@@ -264,12 +267,6 @@ def test_verify_reddening_sequences():
     assert verify(m, (1, 2)).formula_perm.is_identity()
 
 
-def in_fresh_thread(fn, *args):
-    """``fn(*args)`` on a new thread, which starts with no walk of its own."""
-    with ThreadPoolExecutor(1) as pool:
-        return pool.submit(fn, *args).result()
-
-
 def assert_matches_standalone(m, seq, report):
     """``report`` for ``seq`` from ``m`` equals what the standalone replays
     compute for that sequence alone, and the report of a fresh walk."""
@@ -286,28 +283,16 @@ def assert_matches_standalone(m, seq, report):
     assert report == in_fresh_thread(verify, m, seq)
 
 
-def current_walk():
-    """This thread's walk, which ``verify`` and ``enumerate_loops`` read."""
-    return quiverperm.search._local.walk
-
-
-def endpoint(walk, seq):
-    """The state ``seq`` reaches on ``walk``, step by step from its start."""
-    node = 0
-    for k in seq:
-        node = walk.step(node, k)
-    return walk.states[node]
-
-
 def assert_shared_walk_matches_standalone(m, sequences):
     """Every report from ``verify``'s walk, kept across ``sequences``,
     equals the standalone pieces for its sequence alone."""
     verify(m, ())
-    walk = current_walk()
+    walk, root = current_walk()
+    assert walk.states[root] == m
     for seq in sequences:
         report = verify(m, seq)
-        assert current_walk() is walk
-        assert endpoint(walk, seq) == apply_sequence(m, seq)
+        assert current_walk() == (walk, root)
+        assert endpoint(walk, root, seq) == apply_sequence(m, seq)
         assert_matches_standalone(m, seq, report)
 
 
@@ -391,25 +376,57 @@ def test_shared_walk_matches_standalone_off_type_a(n, data):
                 == outcome(standalone_report, m, seq)
 
 
-def test_walk_frees_its_states_when_the_start_changes():
-    # the walk holds every state its sequences reached from the start; held
-    # by a reference cycle, they would outlive the walk until the next
-    # cyclic collection
-    a = framed(A3)
-    b = apply_sequence(a, (2, 1))
+@contextlib.contextmanager
+def gc_disabled():
+    """No cyclic collection in the block, so only reference counts free."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        verify(a, (2, 1, 2))
-        walk = current_walk()
-        reached = weakref.ref(endpoint(walk, (2, 1)))
-        del walk
-        assert reached() == b
-        verify(b, (1,))
-        assert reached() is None
+        yield
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_walk_frees_its_states_when_the_start_changes():
+    # the walk holds every state its sequences reached from its roots; held
+    # by a reference cycle, they would outlive the walk until the next
+    # cyclic collection.  A start equal to none of them replaces the walk
+    def check():
+        a = framed(A3)
+        off = apply_sequence(a, (1,))
+        verify(a, (2, 1, 2))
+        walk, root = current_walk()
+        assert off not in walk._nodes
+        reached = weakref.ref(endpoint(walk, root, (2, 1)))
+        del walk
+        assert reached() == apply_sequence(a, (2, 1))
+        verify(off, (1,))
+        assert reached() is None
+        walk, root = current_walk()
+        assert walk.states[0] == off and root == 0
+
+    with gc_disabled():
+        in_fresh_thread(check)
+
+
+def test_a_start_on_the_walk_frees_nothing():
+    # the converse: a start equal to a state on the walk, built anew, is
+    # rooted at that state's node, and every state the walk held stays
+    def check():
+        a = framed(A3)
+        verify(a, (2, 1, 2))
+        walk, root = current_walk()
+        held = [weakref.ref(state) for state in walk.states]
+        on = apply_sequence(framed(A3), (2, 1))
+        del walk
+        verify(on, (1,))
+        walk, root = current_walk()
+        assert walk.states[0] == a and walk.states[root] == on
+        assert all(ref() is not None for ref in held)
+
+    with gc_disabled():
+        in_fresh_thread(check)
 
 
 def test_shared_walk_edge_cases():
@@ -461,50 +478,65 @@ def test_walk_mutates_each_step_and_factors_each_endpoint_once(monkeypatch):
 
 def test_verify_follows_a_change_of_start():
     # starts A, B, A interleaved call by call, then a state equal to A but
-    # built anew: each call walks from its own start object
+    # built anew.  B lies on the walk from A once (2, 1) is walked, so every
+    # start is rooted at its own node of that one walk
     a = framed(A3)
     b = apply_sequence(a, (2, 1))
     a_again = framed(A3)
     assert a_again == a and a_again is not a
-    for seq in [loop.sequence for loop in enumerate_loops(a, 4)]:
-        for m in (a, b, a, a_again):
-            assert_matches_standalone(m, seq, verify(m, seq))
-            assert current_walk().states[0] is m
+
+    def check():
+        verify(a, (2, 1))
+        walk, _ = current_walk()
+        for seq in [loop.sequence for loop in enumerate_loops(a, 4)]:
+            for m in (a, b, a, a_again):
+                assert_matches_standalone(m, seq, verify(m, seq))
+                assert current_walk()[0] is walk
+                assert walk.states[current_walk()[1]] == m
+        assert walk.states[0] == a
+        assert walk._nodes[a_again] == 0 and walk._nodes[b] != 0
+
+    in_fresh_thread(check)
 
 
 def test_verify_mutates_nothing_after_enumerate_loops(monkeypatch):
-    # verify walks each loop on the walk that enumerate_loops left from the
-    # same start object.  Over the 84 states of A3 and lengths <= 7 the
-    # enumerations mutate 10620 times and verify never (a walk of its own
-    # would mutate 7740 times more)
+    # verify walks each loop on the walk that enumerate_loops left, and each
+    # next start is a node of that walk.  Over the 84 states of A3 and
+    # lengths <= 7, in graph order, the enumerations mutate each of the
+    # 3 x 84 (state, vertex) pairs once and verify never
     quiverperm.search._quotient_table(3)  # mutates through the same module
-    # equal starts built anew, so no walk left by an earlier test is reused
     starts = [ExtendedExchangeMatrix(s.b, s.c)
               for s in graph(3).nodes.values()]
     mutated = []
     real = quiverperm.search.mutate
     monkeypatch.setattr(quiverperm.search, "mutate",
-                        lambda m, k: mutated.append(k) or real(m, k))
-    verified = 0
-    for m in starts:
-        loops = enumerate_loops(m, 7)
-        enumerated = len(mutated)
-        for loop in loops:
-            report = verify(m, loop.sequence)
-            assert report.verdict is Verdict.MATCH
-            assert report.observed_perm == loop.permutation
-        assert len(mutated) == enumerated
-        verified += len(loops)
-    assert verified == 17100
-    assert len(mutated) == 10620
+                        lambda m, k: mutated.append((m, k)) or real(m, k))
+
+    def check():
+        verified = 0
+        for m in starts:
+            loops = enumerate_loops(m, 7)
+            enumerated = len(mutated)
+            for loop in loops:
+                report = verify(m, loop.sequence)
+                assert report.verdict is Verdict.MATCH
+                assert report.observed_perm == loop.permutation
+            assert len(mutated) == enumerated
+            verified += len(loops)
+        return verified
+
+    # a fresh thread, so no walk left by an earlier test is reused
+    assert in_fresh_thread(check) == 17100
+    assert len(mutated) == len(set(mutated)) == 3 * len(starts) == 252
 
 
 def test_enumerate_loops_frees_the_states_verify_reached(monkeypatch):
-    # one walk per thread: enumerating from another start object replaces
+    # one walk per thread: enumerating from a start off the walk replaces
     # the walk verify left, and every state on it is freed with no cyclic
     # collection
     a = framed(A3)
-    b = apply_sequence(a, (2, 1))
+    near = set(reachable(3, 4))
+    far = next(s for s in graph(3).nodes.values() if s not in near)
     reached = []
     real = quiverperm.search.mutate
 
@@ -513,21 +545,83 @@ def test_enumerate_loops_frees_the_states_verify_reached(monkeypatch):
         reached.append(weakref.ref(out))
         return out
 
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    def check():
         monkeypatch.setattr(quiverperm.search, "mutate", watched)
         for seq in itertools.product((1, 2, 3), repeat=4):
             verify(a, seq)
         monkeypatch.undo()
         # a step that reaches a node already on the walk drops its result
         assert sum(ref() is not None for ref in reached) > 20
-        enumerate_loops(b, 4)
-        assert current_walk().states[0] is b
+        assert far not in current_walk()[0]._nodes
+        enumerate_loops(far, 4)
+        walk, root = current_walk()
+        assert walk.states[0] == far and root == 0
         assert all(ref() is None for ref in reached)
-    finally:
-        if was_enabled:
-            gc.enable()
+
+    with gc_disabled():
+        in_fresh_thread(check)
+
+
+def test_a_run_whose_starts_were_dropped_shares_no_walk(monkeypatch):
+    # a walk serves the starts a caller holds while it runs over them: once
+    # the last start it served is dropped, an equal start built anew gets a
+    # fresh walk, so a second run over new, equal starts mutates as often as
+    # the first.  Reference counts alone must free the first run's starts
+    quiverperm.search._quotient_table(3)  # mutates through the same module
+    mutated = []
+    real = quiverperm.search.mutate
+    monkeypatch.setattr(quiverperm.search, "mutate",
+                        lambda m, k: mutated.append(k) or real(m, k))
+
+    def run():
+        starts = [ExtendedExchangeMatrix(s.b, s.c)
+                  for s in list(graph(3).nodes.values())[:4]]
+        before = len(mutated)
+        for m in starts:
+            for loop in enumerate_loops(m, 5):
+                verify(m, loop.sequence)
+        return len(mutated) - before, weakref.ref(starts[0])
+
+    def check():
+        first, start = run()
+        assert start() is None  # the walk holds a copy of its start
+        second, _ = run()
+        assert first == second > 0
+
+    with gc_disabled():
+        in_fresh_thread(check)
+
+
+@settings(max_examples=20, deadline=None)
+@given(skew_symmetric(max_n=4, bound=2), st.data())
+def test_alternating_starts_on_one_thread_match_fresh_threads(b0, data):
+    # starts of A3, of A2 and of a b0 of any type, alternated on one
+    # thread: every report equals a fresh thread's, a start equal to a
+    # state on the walk is rooted there, and any other start replaces the
+    # walk.  Rooting a start off the walk on it instead would mix states of
+    # two ranks on one walk
+    starts = [framed(A3), apply_sequence(framed(A3), (2, 1)), framed(A2),
+              apply_sequence(framed(A2), (1,)), framed(b0)]
+    calls = data.draw(st.lists(st.tuples(
+        st.sampled_from(starts),
+        st.lists(st.integers(1, 4), max_size=6)), min_size=1, max_size=12))
+
+    def check():
+        walk = None
+        for m, seq in calls:
+            on = walk is not None and m in walk._nodes
+            got = outcome(verify, m, seq)
+            assert got == in_fresh_thread(outcome, verify, m, seq)
+            previous = walk
+            walk, root = current_walk()
+            assert walk.states[root] == m
+            if on:
+                assert walk is previous
+            else:
+                assert walk is not previous
+                assert walk.states[0] == m and root == 0
+
+    in_fresh_thread(check)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["two", "one"])
@@ -567,14 +661,14 @@ def test_walk_stores_no_sigma_across_calls(monkeypatch):
     # transpositions afresh
     m = framed(A2)
     assert verify(m, (2, 1, 2)).verdict is Verdict.MATCH
-    walk = current_walk()
+    walk, root = current_walk()
     calls = []
     real = quiverperm.search.mutate
     monkeypatch.setattr(quiverperm.search, "mutate",
                         lambda state, k: calls.append(k) or real(state, k))
     drop_transposition(monkeypatch, X02)
     report = verify(m, (2, 1, 2))
-    assert current_walk() is walk and calls == []
+    assert current_walk() == (walk, root) and calls == []
     assert report.verdict is Verdict.MISMATCH
     assert report.formula_perm.is_identity()
 
@@ -639,7 +733,8 @@ def test_verify_names_the_step_that_spells_no_root():
     for _ in range(2):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             verify(m, (2, 1))
-    assert current_walk().states[0] is m
+    walk, root = current_walk()
+    assert walk.states[root] == m
 
 
 def test_verify_observation_ignores_the_transpositions(monkeypatch):

@@ -21,7 +21,7 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         vertex_color)
 
 from common import (A2, A3, X01, X02, X12, drop_transposition, graph,
-                    reachable, skew_symmetric)
+                    in_fresh_thread, reachable, skew_symmetric)
 
 
 def test_enumerate_mgs_rank1():
@@ -114,7 +114,8 @@ def test_enumeration_frees_results_without_a_collection(enumerate_, release,
     # until the next cyclic collection; so would the states the enumeration
     # reached, and a loop permutation kept per node by enumerate_loops.
     # enumerate_loops leaves its states on the thread's walk, which the
-    # next verify (or enumerate_loops) from another start object replaces;
+    # next verify (or enumerate_loops) from a start on none of its nodes
+    # replaces;
     # enumerate_mgs keeps none.  The per-rank Q table is dropped first, so
     # that the states of its build are watched too
     quiverperm.search._quotient_table.cache_clear()
@@ -451,11 +452,10 @@ def distances(edges, sources):
 def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
         monkeypatch, m, max_len):
     # the rank's quotient table mutates through the same module; built
-    # first, it is counted by no test, whatever ran before.  An equal start
-    # built anew gets a new walk, so no walk left on this thread by an
-    # earlier call from m shares its steps
+    # first, it is counted by no test, whatever ran before.  The search runs
+    # on a fresh thread, so no walk left on this thread by an earlier call
+    # from m, or from any state equal to one it reaches, shares its steps
     quiverperm.search._quotient_table(3)
-    m = ExtendedExchangeMatrix(m.b, m.c)
     mutated, tested, spelled = [], [], []
     real_mutate = quiverperm.search.mutate
     real_test = quiverperm.search.find_row_permutation
@@ -466,7 +466,7 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
                         lambda a, b: tested.append(b) or real_test(a, b))
     monkeypatch.setattr(quiverperm.search, "vector_to_signed_root",
                         lambda v: spelled.append(v) or real_spell(v))
-    enumerate_loops(m, max_len)
+    in_fresh_thread(enumerate_loops, m, max_len)
     monkeypatch.undo()
     # each step spells the generator of its c-vector as it mutates
     assert len(spelled) == len(mutated)
@@ -501,10 +501,10 @@ def test_walk_spells_a_generator_when_step_fills_its_slot():
     assert walk._steps[node][0] == (None, 2)  # spelled once, as no root
     assert walk.step(node, 2) == 0
     assert walk._steps[node][1] == (vector_to_signed_root((0, -1)), 0)
-    assert walk.run((2, 2)) == ([vector_to_signed_root((0, 1)),
+    assert walk.run((2, 2), 0) == ([vector_to_signed_root((0, 1)),
                                  vector_to_signed_root((0, -1))], 0)
     with pytest.raises(ValueError, match=r"not a signed root: \(1, 2\)$"):
-        walk.run((2, 1))
+        walk.run((2, 1), 0)
     assert walk._steps[node][0] == (None, 2)
 
 
