@@ -20,8 +20,8 @@ from .picture import PictureWord
 from .quiver import (ExchangeMatrix, apply_sequence, format_matrix,
                      format_state, framed, matrix_from_json, state_to_dot,
                      state_to_json, vertex_color)
-from .search import (build_exchange_graph, enumerate_loops, enumerate_mgs,
-                     graph_to_dot, mgs_census)
+from .search import (_dot_lines, build_exchange_graph, enumerate_loops,
+                     enumerate_mgs, mgs_census)
 from .standard import factor_standard, is_standard
 
 MAX_N = 5
@@ -149,9 +149,11 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
+    # the whole graph is built before the output is opened, so a failed
+    # build leaves no file; the DOT text is streamed, never held whole
     graph = build_exchange_graph(args.n)
     with _output(args.output_path) as fp:
-        fp.write(graph_to_dot(graph))
+        fp.writelines(_dot_lines(graph))
     return 0
 
 

@@ -9,22 +9,23 @@ Counting functions deliberately use a different traversal style than their
 enumerating counterparts (breadth-first level counts against depth-first
 listings, flat replay against prefix-sharing search) so that agreement
 between the two is evidence, not tautology.  ``enumerate_mgs`` walks the
-standard quotient graph Q of ``quotient_graph``, and ``mgs_census`` reads its
-counts off the same graph without listing; ``count_mgs`` and the other
+standard quotient graph Q of ``quotient_graph``, and ``mgs_census`` reads
+its counts off the same graph without listing; ``count_mgs`` and the other
 counting functions mutate plain states.  ``ExchangeWalk`` is the one lazily
 built piece of an exchange graph, and each thread keeps one
-(``_walk_for``): while the caller holds the start of the call before,
-every start equal to a state already on it is rooted at that state's
-node, and any other start replaces it.  ``enumerate_loops`` walks it from
-the start's root and drops a prefix once its distance on Q back to the
-start exceeds the steps it has left, and ``formula.verify`` walks each
-sequence on it, so verifying the loops just listed mutates nothing again,
-and the loops of every state of one component mutate each
-(state, vertex) pair once in all.  All
-three readers of Q read the per-rank Q table ``_quotient_table``, built by
-one ``quotient_graph`` on the first call at each rank; it keeps Q's row
-sets and edges but no state.  Permutations here are observed, never
+(``_walk_for``): while the caller holds the start of the call before, every
+start equal to a state already on it is rooted at that state's node, and
+any other start replaces it.  ``enumerate_loops`` walks it from the start's
+root and drops a prefix once its distance on Q back to the start exceeds
+the steps it has left, and ``formula.verify`` walks each sequence on it, so
+verifying the loops just listed mutates nothing again, and the loops of
+every state of one component mutate each (state, vertex) pair once in
+all.  All three readers of Q read the per-rank Q table ``_quotient_table``,
+built by one ``quotient_graph`` on the first call at each rank; it keeps
+Q's row sets and edges but no state.  Permutations here are observed, never
 predicted: the transposition formula is not visible to this module.
+``graph_to_dot`` joins the lines of ``_dot_lines``, which the CLI writes
+one at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .perm import Permutation, _trusted
 from .picture import PictureWord
@@ -228,9 +229,7 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
     seq: list[int] = []
     factors: list[SignedGenerator] = []
 
-    # the results are passed in, not closed over: a recursive closure is a
-    # reference cycle, which would keep them alive until the next collection
-    def dfs(rows: tuple[int, ...], node: int, sink: list[MGSResult]):
+    def dfs(rows: tuple[int, ...], node: int):
         leaf = True
         out_edges, out_back = edges[node], back[node]
         for k, r in enumerate(rows, start=1):
@@ -240,14 +239,20 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
                 seq.append(k)
                 factors.append(edge.generator)
                 inverse = out_back[r - 1]
-                dfs(tuple([inverse[x - 1] for x in rows]), edge.target, sink)
+                dfs(tuple([inverse[x - 1] for x in rows]), edge.target)
                 seq.pop()
                 factors.pop()
         if leaf:
-            sink.append(MGSResult(tuple(seq), PictureWord(tuple(factors)),
-                                  _trusted(rows).inverse()))
+            out.append(MGSResult(tuple(seq), PictureWord(tuple(factors)),
+                                 _trusted(rows).inverse()))
 
-    dfs(tuple(range(1, n + 1)), 0, out)
+    # a recursive closure refers to itself through its cell, a reference
+    # cycle that would leave it and all it holds to the cyclic collector;
+    # emptying the cell ends the cycle, so the call frees them on return
+    try:
+        dfs(tuple(range(1, n + 1)), 0)
+    finally:
+        del dfs
     return out
 
 
@@ -426,30 +431,30 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     node ``m`` is rooted at (``_walk_for``), so the walk outlives the call
     until this thread next enumerates or verifies from a start that is
     not rooted on it, and the next start the search reached costs no
-    mutation.  A
-    prefix with r steps left goes on only if its node lies within r steps
-    of ``m``'s row-permutation class, by ``_distance_to``; off straight A_n
-    every prefix goes on.  The loop test ``find_row_permutation`` and the
-    distance are kept per node for the call, so mutation runs at most once
-    per distinct (state, vertex) pair the search expands and the loop test
-    once per distinct state it reaches, not once per prefix.  The search
-    recurses per step: past half the recursion limit it raises ValueError.
+    mutation.  A prefix with r steps left goes on only if its node lies
+    within r steps of ``m``'s row-permutation class, by ``_distance_to``;
+    off straight A_n every prefix goes on.  The loop test
+    ``find_row_permutation`` and the distance are kept per node for the
+    call, so mutation runs at most once per distinct (state, vertex) pair
+    the search expands and the loop test once per distinct state it
+    reaches, not once per prefix.  The search recurses per step: past half
+    the recursion limit it raises ValueError.
     """
     deepest = sys.getrecursionlimit() // 2
     if max_len > deepest:
         raise ValueError(f"loop length {max_len} exceeds {deepest}, the "
                          "longest the depth-first search accepts")
+    if max_len <= 0:
+        return []
+    distance = _distance_to(m)
+    walk, root = _walk_for(m)
+    # the walk may hold nodes from earlier calls, so a node's loop
+    # permutation and distance are kept the first time this call reaches it
+    known = {root: (find_row_permutation(m, m), 0)}
     out: list[LoopResult] = []
     seq: list[int] = []
 
-    # the start, the walk, its nodes' loop permutations and distances, and
-    # the results are passed in, not closed over, as in enumerate_mgs: the
-    # recursive closure is a reference cycle, and a start it held would
-    # outlive the call and keep the thread's walk (see _walk_for).  The walk
-    # may hold nodes from earlier calls, so a node's entry is made the first
-    # time this call reaches it
-    def dfs(m: ExtendedExchangeMatrix, walk: ExchangeWalk, node: int,
-            known: dict, sink: list[LoopResult]):
+    def dfs(node: int):
         left = max_len - len(seq) - 1  # steps left after this one
         for k, slot in enumerate(walk._steps[node], start=1):
             target = walk.step(node, k) if slot is None else slot[1]
@@ -461,15 +466,17 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
             rho, far = entry
             seq.append(k)
             if rho is not None:
-                sink.append(LoopResult(tuple(seq), rho))
+                out.append(LoopResult(tuple(seq), rho))
             if left and far <= left:
-                dfs(m, walk, target, known, sink)
+                dfs(target)
             seq.pop()
 
-    if max_len > 0:
-        distance = _distance_to(m)
-        walk, root = _walk_for(m)
-        dfs(m, walk, root, {root: (find_row_permutation(m, m), 0)}, out)
+    # the closure's cycle is ended as in enumerate_mgs: a start it kept
+    # alive would also keep the thread's walk (see _walk_for)
+    try:
+        dfs(root)
+    finally:
+        del dfs
     return out
 
 
@@ -497,21 +504,26 @@ def mgs_census(n: int) -> dict:
     """
     edges = _quotient_table(n).edges
 
-    # the memo is passed in, not closed over, as in enumerate_mgs
-    def walks(i: int, memo: dict) -> Counter:
+    memo: dict[int, Counter] = {}
+
+    def walks(i: int) -> Counter:
         out = memo.get(i)
         if out is None:
             out = Counter()
             for edge in edges[i]:
                 if edge.generator.delta > 0:
-                    for (pi, length), count in walks(edge.target,
-                                                     memo).items():
+                    for (pi, length), count in walks(edge.target).items():
                         out[edge.rho * pi, length + 1] += count
             out = memo[i] = out or Counter({(Permutation.identity(n), 0): 1})
         return out
 
+    # the cycle of a recursive closure, ended as in enumerate_mgs
+    try:
+        framed_walks = walks(0)
+    finally:
+        del walks
     lengths, perms = Counter(), Counter()
-    for (pi, length), count in walks(0, {}).items():
+    for (pi, length), count in framed_walks.items():
         lengths[length] += count
         perms[pi.cycle_string()] += count
     return {
@@ -524,22 +536,28 @@ def mgs_census(n: int) -> dict:
     }
 
 
-def graph_to_dot(graph: ExchangeGraph) -> str:
-    """DOT rendering of the exchange graph, nodes labeled by c-matrices."""
+def _dot_lines(graph: ExchangeGraph) -> Iterator[str]:
+    """The lines of ``graph_to_dot``, each ending in a newline, one at a
+    time, so a writer holds none of the text but the line it writes."""
     ids = [f"s{idx}" for idx in range(graph.node_count)]
     # each distinct c-row (a signed root, at most n(n+1)) is rendered once
     row_text = {row: " ".join(map(str, row))
                 for row in {row for key in graph.nodes for row in key}}
-    lines = ["graph exchange {", "  node [shape=box, fontname=monospace];"]
+    yield "graph exchange {\n"
+    yield "  node [shape=box, fontname=monospace];\n"
     for node_id, key in zip(ids, graph.nodes):
         label = "\\n".join([row_text[row] for row in key])
-        lines.append(f'  {node_id} [label="{label}"];')
+        yield f'  {node_id} [label="{label}"];\n'
     for node_id, neighbors in zip(ids, graph.edges):
         for k, other in enumerate(neighbors, start=1):
             # mutation is involutive, so each edge shows up from both ends;
             # keep the copy whose id string sorts first ("s10" < "s9")
             other_id = ids[other]
             if node_id < other_id:
-                lines.append(f'  {node_id} -- {other_id} [label="{k}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                yield f'  {node_id} -- {other_id} [label="{k}"];\n'
+    yield "}\n"
+
+
+def graph_to_dot(graph: ExchangeGraph) -> str:
+    """DOT rendering of the exchange graph, nodes labeled by c-matrices."""
+    return "".join(_dot_lines(graph))

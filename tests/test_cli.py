@@ -3,10 +3,13 @@ import hashlib
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import quiverperm.cli
+from quiverperm import build_exchange_graph, graph_to_dot
 from quiverperm.cli import main
 
 
@@ -231,6 +234,55 @@ def test_export_dot(capsys):
     assert code == 0
     assert out.startswith("graph exchange {")
     assert out.count(" -- ") == 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_export_dot_streams_what_graph_to_dot_renders(tmp_path, capsys, n):
+    expected = graph_to_dot(build_exchange_graph(n))
+    assert run(capsys, "export-dot", "--n", str(n)) == (0, expected, "")
+    target = tmp_path / "graph.dot"
+    assert run(capsys, "export-dot", "--n", str(n),
+               "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
+
+
+def test_export_dot_holds_only_the_graph(tmp_path, monkeypatch):
+    # the DOT text is streamed: at its peak the export holds the graph and
+    # less than the whole text beside it
+    real = quiverperm.cli.build_exchange_graph
+    graph_sizes = []
+
+    def measured(n):
+        graph = real(n)
+        graph_sizes.append(tracemalloc.get_traced_memory()[0] - base)
+        return graph
+
+    monkeypatch.setattr(quiverperm.cli, "build_exchange_graph", measured)
+    target = tmp_path / "graph.dot"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["export-dot", "--n", "5", "--out", str(target)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    graph_size, = graph_sizes
+    assert peak - graph_size < target.stat().st_size
+
+
+def test_export_dot_writes_no_file_when_the_build_fails(tmp_path, capsys,
+                                                       monkeypatch):
+    # the graph is built before the output is opened
+    def fail(n):
+        raise ValueError("build failed")
+
+    monkeypatch.setattr(quiverperm.cli, "build_exchange_graph", fail)
+    target = tmp_path / "graph.dot"
+    code, out, err = run(capsys, "export-dot", "--n", "2",
+                         "--out", str(target))
+    assert code == 2
+    assert "build failed" in err
+    assert not target.exists()
 
 
 def test_export_dot_bound(capsys):

@@ -189,6 +189,23 @@ def test_quotient_table_is_built_once_per_rank_and_keeps_no_state(
             gc.enable()
 
 
+def test_recursive_searches_leave_no_cyclic_garbage():
+    # each search recurses through a closure that refers to itself; the
+    # cycle is ended on return, so the cyclic collector finds nothing
+    m = framed(A3)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for search in (lambda: enumerate_loops(m, 4),
+                       lambda: enumerate_mgs(3), lambda: mgs_census(3)):
+            assert search()
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def listing_census(results):
     """The lengths and permutations of listed maximal green sequences."""
     return (Counter(len(r.sequence) for r in results),
