@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .perm import Permutation, _trusted
@@ -158,14 +159,18 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     from many starts of one component, mutate each distinct
     (state, vertex) step once, and none at all after ``enumerate_loops``
     listed them, and factor each distinct endpoint once per start; any
-    other start gets a fresh walk.  Each
-    root's sigma, its inverse and its observations are kept in the walk's
-    ``_memo``, so they go with it.  The prediction is folded afresh on
-    every call and never stored: ``_advance`` swaps two of the start's
-    sigma's images for each generator the walk spells, and the result is
-    composed with the start's inverse.  The observation is the endpoint's
-    permutation part, from ``factor_standard`` the first time a sequence
-    from this root ends at that node, times the inverse of the start's.
+    other start gets a fresh walk.  Each root's sigma, its inverse, a
+    getter that composes a fold with that inverse, and its observations
+    are kept in the walk's ``_memo``, so they go with it.  The prediction
+    is folded afresh on every call and never stored: ``_advance`` swaps
+    two of the start's sigma's images for each generator the walk spells,
+    and the getter reads the result through the start's inverse, so the
+    prediction is an image tuple, not a ``Permutation``.  The observation
+    is the endpoint's permutation part, from ``factor_standard`` the first
+    time a sequence from this root ends at that node, times the inverse
+    of the start's.  When the prediction's images equal the observation's,
+    the report's ``formula_perm`` is that observation, the one object the
+    memo holds, so only a mismatch builds a ``Permutation`` for it.
     Raises ``IndexError`` for a vertex out of range and ``ValueError`` when
     a step spells no signed root or the starting or ending c-matrix does
     not factor through a standard matrix.
@@ -177,17 +182,26 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     memo = walk._memo.get(root)
     if memo is None:
         sigma = _factored_sigma(m)
-        memo = walk._memo[root] = sigma, sigma.inverse(), {}
-    sigma, back, observations = memo
+        back = sigma.inverse()
+        # a fold's images composed with back; with back the identity
+        # (always at n = 1, where an itemgetter of one position would
+        # return a bare int) the fold's tuple already is them
+        then = (tuple if back.is_identity()
+                else itemgetter(*[y - 1 for y in back.images]))
+        memo = walk._memo[root] = sigma, back, then, {}
+    sigma, back, then, observations = memo
     factors, node = walk.run(seq, root)
-    predicted = _trusted(_advance(sigma.images, factors)) * back
+    images = then(_advance(sigma.images, factors))
     if corrupt:
-        predicted = predicted * Permutation.transposition(m.n, 1, 2)
+        images = (_trusted(images) * Permutation.transposition(m.n, 1, 2)
+                  ).images
     observed = observations.get(node)
     if observed is None:
         observed = observations[node] = (
             _factored_sigma(walk.states[node]) * back)
-    verdict = (Verdict.MATCH if predicted.images == observed.images
-               else Verdict.MISMATCH)
+    if images == observed.images:
+        predicted, verdict = observed, Verdict.MATCH
+    else:
+        predicted, verdict = _trusted(images), Verdict.MISMATCH
     return FormulaReport(PictureWord(tuple(factors)), sigma, predicted,
                          observed, verdict)

@@ -16,8 +16,10 @@ built piece of an exchange graph, and each thread keeps one
 (``_walk_for``): while the caller holds the start of the call before, every
 start equal to a state already on it is rooted at that state's node, and
 any other start replaces it.  ``enumerate_loops`` walks it from the start's
-root and drops a prefix once its distance on Q back to the start exceeds
-the steps it has left, and ``formula.verify`` walks each sequence on it, so
+root and drops a prefix once the steps it needs to come back to the start
+up to a row permutation exceed the steps it has left: its distance on Q,
+or two from a state that is already back, since Q has no edge from a node
+to itself.  ``formula.verify`` walks each sequence on the same walk, so
 verifying the loops just listed mutates nothing again, and the loops of
 every state of one component mutate each (state, vertex) pair once in
 all.  All three readers of Q read the per-rank Q table ``_quotient_table``,
@@ -199,11 +201,38 @@ def _quotient_table(n: int) -> _QuotientTable:
 @dataclass(frozen=True)
 class MGSResult:
     """A maximal green sequence, the word it spells and its permutation:
-    the relabeling that moves the coframe's rows to the endpoint's."""
+    the relabeling that moves the coframe's rows to the endpoint's.
+
+    Slotted like ``perm.Permutation``: the search builds one per sequence
+    through ``_mgs_result``, and pickling and copying go through it too.
+    """
+
+    __slots__ = ("sequence", "word", "permutation", "__weakref__")
 
     sequence: tuple[int, ...]
     word: PictureWord
     permutation: Permutation
+
+    def __reduce__(self):
+        # the default would restore the slots by assignment, which a frozen
+        # dataclass refuses
+        return _mgs_result, (self.sequence, self.word, self.permutation)
+
+
+_set_mgs = (MGSResult.sequence.__set__, MGSResult.word.__set__,
+            MGSResult.permutation.__set__)
+
+
+def _mgs_result(sequence: tuple[int, ...], word: PictureWord,
+                permutation: Permutation) -> MGSResult:
+    """An ``MGSResult`` set through its slot descriptors, which the frozen
+    dataclass's ``__setattr__`` does not guard (``perm._trusted``)."""
+    r = object.__new__(MGSResult)
+    set_sequence, set_word, set_permutation = _set_mgs
+    set_sequence(r, sequence)
+    set_word(r, word)
+    set_permutation(r, permutation)
+    return r
 
 
 def _green_vertices(state: ExtendedExchangeMatrix) -> list[int]:
@@ -243,8 +272,8 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
                 seq.pop()
                 factors.pop()
         if leaf:
-            out.append(MGSResult(tuple(seq), PictureWord(tuple(factors)),
-                                 _trusted(rows).inverse()))
+            out.append(_mgs_result(tuple(seq), PictureWord(tuple(factors)),
+                                   _trusted(rows).inverse()))
 
     # a recursive closure refers to itself through its cell, a reference
     # cycle that would leave it and all it holds to the cyclic collector;
@@ -292,8 +321,9 @@ class ExchangeWalk:
     node ``root``, reading filled slots itself.  So each (state, vertex)
     pair is mutated once, in whatever order and from whichever roots walks
     take them.  ``_memo`` maps each root ``formula.verify`` has read to
-    that start's sigma, its inverse and the observation of each node a
-    sequence from it ended at, so that they are dropped with the walk.
+    that start's sigma, its inverse, a getter composing with the inverse
+    and the observation of each node a sequence from it ended at, so that
+    they are dropped with the walk.
     The walk holds no reference cycle, so its states are freed as soon as
     it is dropped.
     """
@@ -378,8 +408,31 @@ def _walk_for(m: ExtendedExchangeMatrix) -> tuple[ExchangeWalk, int]:
 
 @dataclass(frozen=True)
 class LoopResult:
+    """A loop and the row permutation from its start to its endpoint.
+
+    Laid out like ``MGSResult``, and built through ``_loop_result``."""
+
+    __slots__ = ("sequence", "permutation", "__weakref__")
+
     sequence: tuple[int, ...]
     permutation: Permutation
+
+    def __reduce__(self):
+        return _loop_result, (self.sequence, self.permutation)
+
+
+_set_loop = LoopResult.sequence.__set__, LoopResult.permutation.__set__
+
+
+def _loop_result(sequence: tuple[int, ...],
+                 permutation: Permutation) -> LoopResult:
+    """A ``LoopResult`` set through its slot descriptors, as
+    ``_mgs_result``."""
+    r = object.__new__(LoopResult)
+    set_sequence, set_permutation = _set_loop
+    set_sequence(r, sequence)
+    set_permutation(r, permutation)
+    return r
 
 
 @functools.cache
@@ -390,17 +443,21 @@ def _straight_b(n: int) -> IntMatrix:
 
 def _distance_to(m: ExtendedExchangeMatrix
                  ) -> Callable[[ExtendedExchangeMatrix], int]:
-    """A lower bound on the steps a state reached from ``m`` needs to come
-    back to ``m`` up to a row permutation.
+    """A lower bound, at least 1, on the steps a state reached from ``m``
+    needs to come back to ``m`` up to a row permutation.
 
     For a relabelled standard state of straight A_n it is exact: the
     distance on Q between the two states' nodes, from one breadth-first
-    search that reads the per-rank Q table.  Every exchange-graph path
-    projects onto a Q path and every Q path lifts from any lift of its
-    source, so the Q distance is the distance to ``m``'s row-permutation
-    class.  Any other ``m`` gets 0 everywhere, so nothing is pruned; its
-    b-part is checked first, because framed states of other matrices share
-    Q's framed row set.
+    search that reads the per-rank Q table, or 2 for a state of ``m``'s
+    row-permutation class itself.  Every exchange-graph path projects onto
+    a Q path and every Q path lifts from any lift of its source, so the Q
+    distance is the distance to the class; and no edge of Q joins a node
+    to itself, so a state of the class leaves it at every step and is back
+    after two at the soonest, by a trivial loop (k, k).  Any other ``m``
+    gets 1 everywhere, the least any return takes: with no distances
+    known, a larger bound would drop states one step from the class.  The
+    b-part is checked first, because framed states of other matrices
+    share Q's framed row set.
     """
     n = m.n
     if m.b == reconstructed_b(_straight_b(n), m.c):
@@ -416,8 +473,8 @@ def _distance_to(m: ExtendedExchangeMatrix
                     if distance[j] is None:
                         distance[j] = distance[i] + 1
                         frontier.append(j)
-            return lambda state: distance[index[frozenset(state.c)]]
-    return lambda state: 0
+            return lambda state: distance[index[frozenset(state.c)]] or 2
+    return lambda state: 1
 
 
 def enumerate_loops(m: ExtendedExchangeMatrix,
@@ -431,9 +488,12 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     node ``m`` is rooted at (``_walk_for``), so the walk outlives the call
     until this thread next enumerates or verifies from a start that is
     not rooted on it, and the next start the search reached costs no
-    mutation.  A prefix with r steps left goes on only if its node lies
-    within r steps of ``m``'s row-permutation class, by ``_distance_to``;
-    off straight A_n every prefix goes on.  The loop test
+    mutation.  A prefix with r steps left goes on only if its node can
+    come back to ``m``'s row-permutation class within r steps, by
+    ``_distance_to``: on straight A_n its distance to the class, or 2 for
+    a node in the class, so every prefix that goes on closes at least one
+    loop; off straight A_n every prefix with a step left goes on.  The
+    recursion carries the steps left.  The loop test
     ``find_row_permutation`` and the distance are kept per node for the
     call, so mutation runs at most once per distinct (state, vertex) pair
     the search expands and the loop test once per distinct state it
@@ -450,12 +510,12 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     walk, root = _walk_for(m)
     # the walk may hold nodes from earlier calls, so a node's loop
     # permutation and distance are kept the first time this call reaches it
-    known = {root: (find_row_permutation(m, m), 0)}
+    known = {root: (find_row_permutation(m, m), distance(m))}
     out: list[LoopResult] = []
     seq: list[int] = []
 
-    def dfs(node: int):
-        left = max_len - len(seq) - 1  # steps left after this one
+    def dfs(node: int, left: int):
+        # left: the steps left after the one taken here
         for k, slot in enumerate(walk._steps[node], start=1):
             target = walk.step(node, k) if slot is None else slot[1]
             entry = known.get(target)
@@ -466,15 +526,15 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
             rho, far = entry
             seq.append(k)
             if rho is not None:
-                out.append(LoopResult(tuple(seq), rho))
-            if left and far <= left:
-                dfs(target)
+                out.append(_loop_result(tuple(seq), rho))
+            if far <= left:
+                dfs(target, left - 1)
             seq.pop()
 
     # the closure's cycle is ended as in enumerate_mgs: a start it kept
     # alive would also keep the thread's walk (see _walk_for)
     try:
-        dfs(root)
+        dfs(root, max_len - 1)
     finally:
         del dfs
     return out

@@ -781,6 +781,21 @@ def test_verify_exhaustive_small():
             assert verify(m, seq, corrupt=True).verdict is Verdict.MISMATCH
 
 
+def test_corrupt_prediction_is_the_prediction_times_one_two():
+    # on every n = 3 loop: the negative control moves the prediction by
+    # (1 2) on the right and so mismatches, while a match reports the
+    # start's memoized observation as its prediction
+    swap = Permutation.transposition(3, 1, 2)
+    for m in reachable(3):
+        for loop in enumerate_loops(m, 4):
+            report = verify(m, loop.sequence)
+            corrupted = verify(m, loop.sequence, corrupt=True)
+            assert report.formula_perm is report.observed_perm
+            assert corrupted.formula_perm == report.formula_perm * swap
+            assert corrupted.formula_perm != corrupted.observed_perm
+            assert corrupted.observed_perm == report.observed_perm
+
+
 def test_report_json():
     data = verify(framed(A2), (2, 1, 2)).to_json()
     assert data["verdict"] == "match"

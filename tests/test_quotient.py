@@ -68,6 +68,15 @@ def test_quotient_nodes_are_valid_and_determine_their_b_parts(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_no_quotient_edge_targets_its_own_node(n):
+    # the loop search's prune rests on it: a state of the start's
+    # row-permutation class has no neighbor in the class, so its shortest
+    # way back is a trivial loop (k, k) of two steps
+    for i, row_edges in enumerate(quotient(n).edges):
+        assert [edge.target for edge in row_edges if edge.target == i] == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_quotient_edges_follow_the_transpositions(n):
     # with the equivariance of mutation under relabeling (test_quiver), the
     # edge rule on Q is the formula's edge rule on the full exchange graph

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import gc
 import math
+import pickle
 import sys
 import weakref
 from collections import Counter
@@ -432,7 +435,10 @@ def test_enumerate_loops_matches_flat_replay(m):
     assert_loops_match_flat_replay(m, 6)
 
 
-@pytest.mark.parametrize("n,max_len", [(2, 6), (3, 5)])
+@pytest.mark.parametrize("n,max_len", [
+    (2, 6), (3, 5),
+    # the benchmark's shape: loop-verify lists these loops
+    pytest.param(3, 7, marks=pytest.mark.slow)])
 def test_pruned_loops_match_flat_replay_at_every_reachable_start(n, max_len):
     # pruning on Q loses no loop and adds none, from any start of the rank
     starts = reachable(n)
@@ -456,6 +462,23 @@ def distances(edges, sources):
                 out[j] = out[i] + 1
                 frontier.append(j)
     return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_class_state_needs_two_steps_back(n):
+    # the bound the search prunes by, against distances on the exchange
+    # graph: a state of the start's row-permutation class comes back in
+    # two steps and no fewer, any other state in exactly its distance to
+    # the class
+    states = list(graph(n).nodes.values())
+    edges = graph(n).edges
+    for m in states:
+        distance = quiverperm.search._distance_to(m)
+        back = distances(edges, [i for i, s in enumerate(states)
+                                 if find_row_permutation(m, s) is not None])
+        for i, s in enumerate(states):
+            steps = 1 + min(back[j] for j in edges[i])
+            assert steps == (back[i] or 2) == distance(s)
 
 
 @pytest.mark.parametrize("m,max_len", [
@@ -488,15 +511,16 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
     # each step spells the generator of its c-vector as it mutates
     assert len(spelled) == len(mutated)
     # on the exchange graph, not on Q: a state is expanded when a loop can
-    # still pass through it, that is when its distance from m plus its
-    # distance back to m's row-permutation class is at most max_len
+    # still pass through it, that is when its distance from m plus the
+    # steps it needs to come back to m's row-permutation class is at most
+    # max_len; a state of the class needs two, by a trivial loop (k, k)
     states = list(graph(3).nodes.values())
     edges = graph(3).edges
     start = distances(edges, [states.index(m)])
     back = distances(edges, [i for i, s in enumerate(states)
                              if find_row_permutation(m, s) is not None])
     expanded = {i for i, d in start.items()
-                if d < max_len and d + back[i] <= max_len}
+                if d < max_len and d + (back[i] or 2) <= max_len}
     reached = expanded.union(*(edges[i] for i in expanded))
     # one mutation per step of an expanded state; one loop test per state
     # reached, the start included
@@ -504,6 +528,32 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
     assert len(tested) == len(reached)
     if max_len > 2:  # fewer than every state within max_len - 1 steps
         assert len(expanded) < sum(d < max_len for d in start.values())
+
+
+@pytest.mark.parametrize("first", [
+    pytest.param(lambda: enumerate_mgs(2)[1], id="MGSResult"),
+    pytest.param(lambda: enumerate_loops(framed(A2), 5)[3], id="LoopResult"),
+])
+def test_results_are_slotted_and_still_pickle_copy_and_weakref(first):
+    # the searches build their results through the slot descriptors;
+    # pickling and copying must rebuild them without assigning to a frozen
+    # field
+    result = first()
+    assert not hasattr(result, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.sequence = ()
+    fields = {f.name: getattr(result, f.name)
+              for f in dataclasses.fields(result)}
+    assert type(result)(**fields) == result
+    copies = [pickle.loads(pickle.dumps(result, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies + [copy.copy(result), copy.deepcopy(result)]:
+        assert type(again) is type(result)
+        assert again == result and hash(again) == hash(result)
+    ref = weakref.ref(result)
+    assert ref() is result
+    del result
+    assert ref() is None
 
 
 def test_walk_spells_a_generator_when_step_fills_its_slot():
