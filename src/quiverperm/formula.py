@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .perm import Permutation, _trusted
@@ -159,18 +158,21 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     from many starts of one component, mutate each distinct
     (state, vertex) step once, and none at all after ``enumerate_loops``
     listed them, and factor each distinct endpoint once per start; any
-    other start gets a fresh walk.  Each root's sigma, its inverse, a
-    getter that composes a fold with that inverse, and its observations
-    are kept in the walk's ``_memo``, so they go with it.  The prediction
-    is folded afresh on every call and never stored: ``_advance`` swaps
-    two of the start's sigma's images for each generator the walk spells,
-    and the getter reads the result through the start's inverse, so the
-    prediction is an image tuple, not a ``Permutation``.  The observation
-    is the endpoint's permutation part, from ``factor_standard`` the first
-    time a sequence from this root ends at that node, times the inverse
-    of the start's.  When the prediction's images equal the observation's,
-    the report's ``formula_perm`` is that observation, the one object the
-    memo holds, so only a mismatch builds a ``Permutation`` for it.
+    other start gets a fresh walk.  Each root's sigma, its inverse and,
+    for each node a sequence from it ended at, the endpoint's sigma's
+    images and the observation are kept in the walk's ``_memo``, so they
+    go with it.  The prediction is folded afresh on every call and never
+    stored: ``_advance`` swaps two of the start's sigma's images for each
+    generator the walk spells.  The formula says that this fold is the
+    endpoint's sigma, the permutation part of its c-matrix from
+    ``factor_standard`` the first time a sequence from this root ends at
+    that node, so the two image tuples are compared directly.  The
+    observation is the endpoint's sigma times the inverse of the
+    start's, and the prediction is the fold times that inverse; since
+    composing with it on the right is injective, the two agree exactly
+    when the tuples do.  On a match the report's ``formula_perm`` is the
+    observation, the one object the memo holds, so only a mismatch
+    builds a ``Permutation`` for the prediction.
     Raises ``IndexError`` for a vertex out of range and ``ValueError`` when
     a step spells no signed root or the starting or ending c-matrix does
     not factor through a standard matrix.
@@ -182,26 +184,23 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     memo = walk._memo.get(root)
     if memo is None:
         sigma = _factored_sigma(m)
-        back = sigma.inverse()
-        # a fold's images composed with back; with back the identity
-        # (always at n = 1, where an itemgetter of one position would
-        # return a bare int) the fold's tuple already is them
-        then = (tuple if back.is_identity()
-                else itemgetter(*[y - 1 for y in back.images]))
-        memo = walk._memo[root] = sigma, back, then, {}
-    sigma, back, then, observations = memo
+        memo = walk._memo[root] = sigma, sigma.inverse(), {}
+    sigma, inverse, ends = memo
     factors, node = walk.run(seq, root)
-    images = then(_advance(sigma.images, factors))
+    end = ends.get(node)
+    if end is None:
+        ended = _factored_sigma(walk.states[node])
+        end = ends[node] = ended.images, ended * inverse
+    ended, observed = end
+    fold = _advance(sigma.images, factors)
     if corrupt:
-        images = (_trusted(images) * Permutation.transposition(m.n, 1, 2)
-                  ).images
-    observed = observations.get(node)
-    if observed is None:
-        observed = observations[node] = (
-            _factored_sigma(walk.states[node]) * back)
-    if images == observed.images:
+        # the prediction times (1 2), composed back with sigma on the right
+        # so that it compares with the endpoint's sigma as an honest fold
+        fold = (_trusted(fold) * inverse * Permutation.transposition(m.n, 1, 2)
+                * sigma).images
+    if fold == ended:
         predicted, verdict = observed, Verdict.MATCH
     else:
-        predicted, verdict = _trusted(images), Verdict.MISMATCH
+        predicted, verdict = _trusted(fold) * inverse, Verdict.MISMATCH
     return FormulaReport(PictureWord(tuple(factors)), sigma, predicted,
                          observed, verdict)

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class Permutation:
     """A bijection of {1..n}, stored as the tuple of images of 1..n.
 
-    Slotted, with no ``__dict__``, like ``quiver.ExtendedExchangeMatrix``:
-    pickling and copying rebuild it through ``_trusted``.
+    Slotted, with no ``__dict__``, like ``quiver.ExtendedExchangeMatrix``;
+    the dataclass's own ``__getstate__`` and ``__setstate__`` pickle and
+    copy it without running ``__post_init__``.
     """
-
-    __slots__ = ("images", "__weakref__")
 
     images: tuple[int, ...]
 
@@ -44,17 +43,19 @@ class Permutation:
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> Permutation:
         """The transposition (a b) in S_n; the identity when a == b."""
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"transposition ({a} {b}) out of range for n={n}")
-        images = list(range(1, n + 1))
-        images[a - 1], images[b - 1] = b, a
-        return _trusted(tuple(images))
+        return cls.from_cycles(n, [(a, b)])
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> Permutation:
+        """The permutation with the given disjoint ``cycles``.  A point
+        that is not an ``int`` in 1..n raises ``ValueError``, as do cycles
+        that overlap so that no permutation results."""
         images = list(range(1, n + 1))
         for cycle in cycles:
             cyc = list(cycle)
+            if not all(type(x) is int and 1 <= x <= n for x in cyc):
+                raise ValueError(f"cycle {cyc!r} has a point that is not an "
+                                 f"int in 1..{n}")
             for src, dst in zip(cyc, cyc[1:] + cyc[:1]):
                 images[src - 1] = dst
         return cls(tuple(images))
@@ -116,11 +117,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return self.cycle_string()
-
-    def __reduce__(self):
-        # the default would restore the slot by assignment, which a frozen
-        # dataclass refuses
-        return _trusted, (self.images,)
 
 
 _set_images = Permutation.images.__set__

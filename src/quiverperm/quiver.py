@@ -66,17 +66,15 @@ class ExchangeMatrix:
         return cls(_as_matrix(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class ExtendedExchangeMatrix:
     """The n x 2n state [B | C]: exchange matrix plus c-matrix.
 
     Rows of ``c`` are the c-vectors.  Hashable, so states can key memo
     tables directly.  Slotted, with no ``__dict__``: a state is two
-    references, and pickling and copying rebuild it through
-    ``_trusted_state``.
+    references, and the dataclass's own ``__getstate__`` and
+    ``__setstate__`` pickle and copy it without running ``__post_init__``.
     """
-
-    __slots__ = ("b", "c", "__weakref__")
 
     b: IntMatrix
     c: IntMatrix
@@ -102,11 +100,6 @@ class ExtendedExchangeMatrix:
             raise IndexError(f"vertex {k} out of range 1..{self.n}")
         return self.c[k - 1]
 
-    def __reduce__(self):
-        # the default would restore the slots by assignment, which a frozen
-        # dataclass refuses
-        return _trusted_state, (self.b, self.c)
-
 
 class Color(Enum):
     GREEN = "green"
@@ -121,7 +114,8 @@ def _trusted_state(b: IntMatrix, c: IntMatrix) -> ExtendedExchangeMatrix:
     """An ``ExtendedExchangeMatrix`` built without ``__post_init__``, for
     results that are valid by construction.  Both fields are set through
     their slot descriptors, which the frozen dataclass's ``__setattr__``
-    does not guard."""
+    does not guard; its ``__setstate__`` sets them the same way when a
+    state is unpickled or copied."""
     m = object.__new__(ExtendedExchangeMatrix)
     _set_b(m, b)
     _set_c(m, c)

@@ -198,41 +198,19 @@ def _quotient_table(n: int) -> _QuotientTable:
         tuple(tuple(back[edge.rho] for edge in row) for row in q.edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class MGSResult:
     """A maximal green sequence, the word it spells and its permutation:
     the relabeling that moves the coframe's rows to the endpoint's.
 
-    Slotted like ``perm.Permutation``: the search builds one per sequence
-    through ``_mgs_result``, and pickling and copying go through it too.
+    Slotted like ``perm.Permutation``: the search builds one per sequence,
+    and the dataclass's own ``__getstate__`` and ``__setstate__`` pickle
+    and copy it.
     """
-
-    __slots__ = ("sequence", "word", "permutation", "__weakref__")
 
     sequence: tuple[int, ...]
     word: PictureWord
     permutation: Permutation
-
-    def __reduce__(self):
-        # the default would restore the slots by assignment, which a frozen
-        # dataclass refuses
-        return _mgs_result, (self.sequence, self.word, self.permutation)
-
-
-_set_mgs = (MGSResult.sequence.__set__, MGSResult.word.__set__,
-            MGSResult.permutation.__set__)
-
-
-def _mgs_result(sequence: tuple[int, ...], word: PictureWord,
-                permutation: Permutation) -> MGSResult:
-    """An ``MGSResult`` set through its slot descriptors, which the frozen
-    dataclass's ``__setattr__`` does not guard (``perm._trusted``)."""
-    r = object.__new__(MGSResult)
-    set_sequence, set_word, set_permutation = _set_mgs
-    set_sequence(r, sequence)
-    set_word(r, word)
-    set_permutation(r, permutation)
-    return r
 
 
 def _green_vertices(state: ExtendedExchangeMatrix) -> list[int]:
@@ -272,8 +250,8 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
                 seq.pop()
                 factors.pop()
         if leaf:
-            out.append(_mgs_result(tuple(seq), PictureWord(tuple(factors)),
-                                   _trusted(rows).inverse()))
+            out.append(MGSResult(tuple(seq), PictureWord(tuple(factors)),
+                                 _trusted(rows).inverse()))
 
     # a recursive closure refers to itself through its cell, a reference
     # cycle that would leave it and all it holds to the cyclic collector;
@@ -321,8 +299,8 @@ class ExchangeWalk:
     node ``root``, reading filled slots itself.  So each (state, vertex)
     pair is mutated once, in whatever order and from whichever roots walks
     take them.  ``_memo`` maps each root ``formula.verify`` has read to
-    that start's sigma, its inverse, a getter composing with the inverse
-    and the observation of each node a sequence from it ended at, so that
+    that start's sigma, its inverse and, per node a sequence from it
+    ended at, the endpoint's sigma's images and the observation, so that
     they are dropped with the walk.
     The walk holds no reference cycle, so its states are freed as soon as
     it is dropped.
@@ -406,33 +384,14 @@ def _walk_for(m: ExtendedExchangeMatrix) -> tuple[ExchangeWalk, int]:
     return walk, root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class LoopResult:
     """A loop and the row permutation from its start to its endpoint.
 
-    Laid out like ``MGSResult``, and built through ``_loop_result``."""
-
-    __slots__ = ("sequence", "permutation", "__weakref__")
+    Laid out like ``MGSResult``."""
 
     sequence: tuple[int, ...]
     permutation: Permutation
-
-    def __reduce__(self):
-        return _loop_result, (self.sequence, self.permutation)
-
-
-_set_loop = LoopResult.sequence.__set__, LoopResult.permutation.__set__
-
-
-def _loop_result(sequence: tuple[int, ...],
-                 permutation: Permutation) -> LoopResult:
-    """A ``LoopResult`` set through its slot descriptors, as
-    ``_mgs_result``."""
-    r = object.__new__(LoopResult)
-    set_sequence, set_permutation = _set_loop
-    set_sequence(r, sequence)
-    set_permutation(r, permutation)
-    return r
 
 
 @functools.cache
@@ -526,7 +485,7 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
             rho, far = entry
             seq.append(k)
             if rho is not None:
-                out.append(_loop_result(tuple(seq), rho))
+                out.append(LoopResult(tuple(seq), rho))
             if far <= left:
                 dfs(target, left - 1)
             seq.pop()

@@ -796,6 +796,27 @@ def test_corrupt_prediction_is_the_prediction_times_one_two():
             assert corrupted.observed_perm == report.observed_perm
 
 
+def test_honest_mismatches_from_starts_whose_sigma_moves(monkeypatch):
+    # negative control away from framed A2, where sigma is the identity:
+    # with x02's transposition dropped, every n = 3 loop's prediction is
+    # still the reference formula's, and its verdict is decided by the
+    # two permutations alone, also from starts whose sigma moves rows
+    drop_transposition(monkeypatch, X02)
+    loops = mismatches = moved = 0
+    for m in reachable(3):
+        for loop in enumerate_loops(m, 4):
+            report = verify(m, loop.sequence)
+            loops += 1
+            assert report.formula_perm == formula_permutation(report.word,
+                                                              report.sigma)
+            match = report.formula_perm == report.observed_perm
+            assert (report.verdict is Verdict.MATCH) == match
+            if not match:
+                mismatches += 1
+                moved += not report.sigma.is_identity()
+    assert (loops, mismatches, moved) == (1656, 216, 180)
+
+
 def test_report_json():
     data = verify(framed(A2), (2, 1, 2)).to_json()
     assert data["verdict"] == "match"

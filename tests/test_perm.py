@@ -38,6 +38,21 @@ def test_validation_requires_a_tuple_of_ints(images):
         Permutation(images)
 
 
+@pytest.mark.parametrize("a,b", [(True, 2), (3, True), (1.0, 2), (2, 2.0),
+                                 (0, 1), (1, 4), ("1", 2)])
+def test_transposition_requires_int_points_in_range(a, b):
+    # a bool would be stored as an image, and a float would fail as an index
+    with pytest.raises(ValueError, match=r"not an int in 1\.\.3"):
+        Permutation.transposition(3, a, b)
+
+
+@pytest.mark.parametrize("cycles", [[(1, 5)], [(0, 2)], [(1.0, 2)],
+                                    [(1, 2), (True, 3)], [("1", 2)]])
+def test_from_cycles_requires_int_points_in_range(cycles):
+    with pytest.raises(ValueError, match=r"not an int in 1\.\.3"):
+        Permutation.from_cycles(3, cycles)
+
+
 def test_permutations_are_slotted_and_still_pickle_copy_and_weakref():
     # composed permutations are built through the slot descriptor; pickling
     # and copying must rebuild them without assigning to a frozen field
