@@ -8,6 +8,7 @@ I/O failure.  Output is deterministic for a fixed command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -16,6 +17,7 @@ from contextlib import contextmanager
 from typing import Optional
 
 from .formula import TrackedState, Verdict, verify
+from .perm import Permutation
 from .picture import PictureWord
 from .quiver import (ExchangeMatrix, apply_sequence, format_matrix,
                      format_state, framed, matrix_from_json, state_to_dot,
@@ -102,6 +104,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks.extend(("loop", r.sequence)
                       for r in enumerate_loops(start, args.max_depth))
     failures = []
+    # a few dozen distinct permutations recur over thousands of lines, so
+    # each is formatted once per run
+    cycle_string = functools.cache(Permutation.cycle_string)
     with _output(args.output_path) as fp:
         for kind, seq in checks:
             report = verify(start, seq, corrupt=args.corrupt_formula)
@@ -112,9 +117,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                      **report.to_json()}) + "\n")
             else:
                 # on a match the two permutations are equal
-                formula = report.formula_perm.cycle_string()
+                formula = cycle_string(report.formula_perm)
                 observed = (formula if report.verdict is Verdict.MATCH
-                            else report.observed_perm.cycle_string())
+                            else cycle_string(report.observed_perm))
                 fp.write(f"{kind} {' '.join(map(str, seq))}: "
                          f"{report.verdict.value} "
                          f"(formula {formula}, observed {observed})\n")

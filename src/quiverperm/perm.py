@@ -38,6 +38,10 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
+        """The identity of S_n.  A size that is not a nonnegative ``int``
+        raises ``ValueError``."""
+        if type(n) is not int or n < 0:
+            raise ValueError(f"size {n!r} is not a nonnegative int")
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -61,6 +65,10 @@ class Permutation:
         return cls(tuple(images))
 
     def __call__(self, x: int) -> int:
+        """The image of ``x``.  A point that is not an ``int`` raises
+        ``ValueError``, and an ``int`` outside 1..n raises ``IndexError``."""
+        if type(x) is not int:
+            raise ValueError(f"point {x!r} is not an int")
         if not 1 <= x <= self.n:
             raise IndexError(f"point {x} out of range for a permutation of 1..{self.n}")
         return self.images[x - 1]

@@ -22,10 +22,12 @@ or two from a state that is already back, since Q has no edge from a node
 to itself.  ``formula.verify`` walks each sequence on the same walk, so
 verifying the loops just listed mutates nothing again, and the loops of
 every state of one component mutate each (state, vertex) pair once in
-all.  All three readers of Q read the per-rank Q table ``_quotient_table``,
-built by one ``quotient_graph`` on the first call at each rank; it keeps
-Q's row sets and edges but no state.  Permutations here are observed, never
-predicted: the transposition formula is not visible to this module.
+all.  ``quotient_graph`` finds each mutated state's node by its set of
+c-rows.  All three readers of Q read the per-rank Q table
+``_quotient_table``, built by one ``quotient_graph`` on the first call at
+each rank; it keeps Q's row sets, its edges and the green steps
+``enumerate_mgs`` takes, but no state.  Permutations here are observed,
+never predicted: the transposition formula is not visible to this module.
 ``graph_to_dot`` joins the lines of ``_dot_lines``, which the CLI writes
 one at a time.
 """
@@ -146,23 +148,26 @@ class QuotientGraph(NamedTuple):
 
 def quotient_graph(n: int) -> QuotientGraph:
     """Breadth-first build of Q from the framed straight-A_n state, one
-    plain ``mutate`` and one ``factor_standard`` per (node, row).  Edges
-    with equal ``rho`` share one ``Permutation``."""
+    plain ``mutate`` and one ``factor_standard`` per (node, row).  A
+    mutated state's node is found by its set of c-rows: moving rows keeps
+    the set, and a standard matrix is fixed by its rows.  So its rows are
+    moved back into standard order, by ``permute_rows``, only when its
+    node is new.  Edges with equal ``rho`` share one ``Permutation``."""
     nodes = [framed(ExchangeMatrix.straight_a(n))]
-    index = {nodes[0]: 0}
+    index = {frozenset(nodes[0].c): 0}
     rhos: dict[Permutation, Permutation] = {}
     edges = []
     for node in nodes:  # grows while it is walked
         out = []
         for r in range(1, n + 1):
             mutated = mutate(node, r)
-            fact = factor_standard(mutated.c)
-            rho = rhos.setdefault(fact.rho, fact.rho)
-            target = permute_rows(mutated, rho.inverse())
-            i = index.get(target)
+            rho = factor_standard(mutated.c).rho
+            rho = rhos.setdefault(rho, rho)
+            key = frozenset(mutated.c)
+            i = index.get(key)
             if i is None:
-                i = index[target] = len(nodes)
-                nodes.append(target)
+                i = index[key] = len(nodes)
+                nodes.append(permute_rows(mutated, rho.inverse()))
             out.append(QuotientEdge(vector_to_signed_root(node.c_row(r)), i,
                                     rho))
         edges.append(tuple(out))
@@ -171,14 +176,17 @@ def quotient_graph(n: int) -> QuotientGraph:
 
 class _QuotientTable(NamedTuple):
     """``quotient_graph(n)`` without its states: ``index`` maps each node's
-    set of c-rows to the node, ``edges`` are Q's edges, and ``back[i][r-1]``
-    holds the images of ``edges[i][r-1].rho``'s inverse.  A reachable
-    state's row set is that of its standard node, since moving rows keeps
-    the set."""
+    set of c-rows to the node, ``edges`` are Q's edges, and
+    ``green[i][r-1]`` is ``None`` when row r of node i is red, else the
+    row's green step ``(generator, target, inverse)``: ``inverse`` holds
+    the images of the inverse of the edge's ``rho`` after a 0 at index 0,
+    so that ``inverse[x]`` is the image of x.  A reachable state's row set
+    is that of its standard node, since moving rows keeps the set."""
 
     index: dict[frozenset, int]
     edges: tuple[tuple[QuotientEdge, ...], ...]
-    back: tuple[tuple[tuple[int, ...], ...], ...]
+    green: tuple[tuple[tuple[SignedGenerator, int, tuple[int, ...]] | None,
+                       ...], ...]
 
 
 @functools.cache
@@ -191,11 +199,13 @@ def _quotient_table(n: int) -> _QuotientTable:
     before and after, so that the corrupted build runs and no later reader
     sees it."""
     q = quotient_graph(n)
-    back = {rho: rho.inverse().images
-            for rho in {edge.rho for row in q.edges for edge in row}}
+    inverse = {rho: (0,) + rho.inverse().images
+               for rho in {edge.rho for row in q.edges for edge in row}}
     return _QuotientTable(
         {frozenset(node.c): i for i, node in enumerate(q.nodes)}, q.edges,
-        tuple(tuple(back[edge.rho] for edge in row) for row in q.edges))
+        tuple(tuple((edge.generator, edge.target, inverse[edge.rho])
+                    if edge.generator.delta > 0 else None for edge in row)
+              for row in q.edges))
 
 
 @dataclass(frozen=True, slots=True, weakref_slot=True)
@@ -222,36 +232,43 @@ def enumerate_mgs(n: int) -> list[MGSResult]:
     """All maximal green sequences of straight A_n in lexicographic order.
 
     A depth-first walk over the states (pi, node) of Q that reads the
-    per-rank Q table: vertex k is row pi^{-1}(k) of the node, and stepping
-    along a row moves pi by the row's observed ``rho``.  A sequence is
-    emitted when no green vertex remains; its node is then the coframe,
-    and its permutation is the pi that moves the coframe's rows to the
-    endpoint's.  No cap on the length is needed: every maximal green
-    sequence of A_n has length at most n(n+1)/2.
+    green steps of the per-rank Q table: vertex k is row pi^{-1}(k) of the
+    node, and stepping along a green row moves pi by the row's observed
+    ``rho``.  A sequence is emitted when no green vertex remains; its node
+    is then the coframe, and its permutation is the pi that moves the
+    coframe's rows to the endpoint's.  Results of one call with equal
+    permutations share one ``Permutation``.  No cap on the length is
+    needed: every maximal green sequence of A_n has length at most
+    n(n+1)/2.
     """
     # pi is carried as its inverse, the row of each vertex, so pi <- pi o rho
-    # is rows <- rho^{-1} o rows, read from the table's ``back``
-    _, edges, back = _quotient_table(n)
+    # is rows <- rho^{-1} o rows, read from the table's green steps
+    green = _quotient_table(n).green
     out: list[MGSResult] = []
     seq: list[int] = []
     factors: list[SignedGenerator] = []
+    # the endpoints' rows, each with the one permutation its results share
+    perms: dict[tuple[int, ...], Permutation] = {}
 
     def dfs(rows: tuple[int, ...], node: int):
         leaf = True
-        out_edges, out_back = edges[node], back[node]
+        steps = green[node]
         for k, r in enumerate(rows, start=1):
-            edge = out_edges[r - 1]
-            if edge.generator.delta > 0:
+            step = steps[r - 1]
+            if step is not None:
                 leaf = False
+                generator, target, inverse = step
                 seq.append(k)
-                factors.append(edge.generator)
-                inverse = out_back[r - 1]
-                dfs(tuple([inverse[x - 1] for x in rows]), edge.target)
+                factors.append(generator)
+                dfs(tuple(map(inverse.__getitem__, rows)), target)
                 seq.pop()
                 factors.pop()
         if leaf:
+            perm = perms.get(rows)
+            if perm is None:
+                perm = perms[rows] = _trusted(rows).inverse()
             out.append(MGSResult(tuple(seq), PictureWord(tuple(factors)),
-                                 _trusted(rows).inverse()))
+                                 perm))
 
     # a recursive closure refers to itself through its cell, a reference
     # cycle that would leave it and all it holds to the cyclic collector;

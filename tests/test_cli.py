@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import quiverperm.cli
-from quiverperm import build_exchange_graph, graph_to_dot
+from quiverperm import (ExchangeMatrix, Verdict, build_exchange_graph,
+                        enumerate_loops, enumerate_mgs, framed, graph_to_dot,
+                        verify)
 from quiverperm.cli import main
 
 
@@ -199,6 +201,36 @@ def test_verify_observes_every_checked_sequence(capsys):
     reports = [json.loads(line) for line in out.splitlines()]
     assert len(reports) == len(lines)
     assert [r for r in reports if r["observed"] is None] == []
+
+
+# the corrupted prediction needs two points, so not at n = 1
+@pytest.mark.parametrize("n,extra", [
+    (n, extra) for n in (1, 2, 3, 4)
+    for extra in [(), ("--max-depth", "4"), ("--corrupt-formula",),
+                  ("--max-depth", "4", "--corrupt-formula")]
+    if n > 1 or "--corrupt-formula" not in extra])
+def test_verify_text_renders_each_report_s_own_permutations(capsys, n, extra):
+    # the command formats each distinct permutation once; every line must
+    # still read as if each report's permutations were formatted anew
+    corrupt = "--corrupt-formula" in extra
+    start = framed(ExchangeMatrix.straight_a(n))
+    checks = [("mgs", r.sequence) for r in enumerate_mgs(n)]
+    if "--max-depth" in extra:
+        checks += [("loop", r.sequence) for r in enumerate_loops(start, 4)]
+    expected, mismatches = [], 0
+    for kind, seq in checks:
+        report = verify(start, seq, corrupt=corrupt)
+        mismatches += report.verdict is not Verdict.MATCH
+        expected.append(f"{kind} {' '.join(map(str, seq))}: "
+                        f"{report.verdict.value} "
+                        f"(formula {report.formula_perm.cycle_string()}, "
+                        f"observed {report.observed_perm.cycle_string()})")
+    expected.append(f"{len(checks)} sequences checked, "
+                    f"{mismatches} mismatches")
+    code, out, err = run(capsys, "verify", "--n", str(n), *extra)
+    assert code == (1 if mismatches else 0)
+    assert mismatches == (len(checks) if corrupt else 0)
+    assert out.splitlines() == expected
 
 
 def test_census_text(capsys):

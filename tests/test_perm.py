@@ -53,6 +53,20 @@ def test_from_cycles_requires_int_points_in_range(cycles):
         Permutation.from_cycles(3, cycles)
 
 
+@pytest.mark.parametrize("x", [1.0, True, False, "1", None])
+def test_call_requires_an_int_point(x):
+    # a bool would index the images, and a float would fail as an index
+    with pytest.raises(ValueError, match="is not an int"):
+        Permutation((2, 1, 3))(x)
+
+
+@pytest.mark.parametrize("n", [2.0, True, -1, "2", None])
+def test_identity_requires_a_nonnegative_int_size(n):
+    # range would reject a float with TypeError, and read -1 as size 0
+    with pytest.raises(ValueError, match="not a nonnegative int"):
+        Permutation.identity(n)
+
+
 def test_permutations_are_slotted_and_still_pickle_copy_and_weakref():
     # composed permutations are built through the slot descriptor; pickling
     # and copying must rebuild them without assigning to a frozen field

@@ -16,10 +16,13 @@ import math
 import pytest
 
 import quiverperm.formula
+import quiverperm.search
 from quiverperm import (Color, ExchangeMatrix, coframed, count_mgs,
                         enumerate_loops, is_all_red, is_standard, mgs_census,
-                        reconstructed_b, validate_c_matrix,
-                        vector_to_signed_root, vertex_color)
+                        mutate, permute_rows, reconstructed_b,
+                        validate_c_matrix, vector_to_signed_root,
+                        vertex_color)
+from quiverperm.quiver import _trusted_state
 
 from common import X02, drop_transposition, graph, quotient
 
@@ -88,6 +91,53 @@ def test_quotient_edge_check_negative_control(monkeypatch):
     drop_transposition(monkeypatch, X02)
     node, p = first_quotient_edge_failure(3)
     assert vector_to_signed_root(node.c_row(p)) == X02
+
+
+def first_edge_state_failure(graph):
+    """The first (node index, row) of ``graph`` whose plainly mutated
+    state, with its rows moved back by the edge's ``rho``, is not the
+    edge's target node as a whole state, b-part and c-part; ``None`` if
+    there is none."""
+    for i, (node, row_edges) in enumerate(zip(graph.nodes, graph.edges)):
+        for r, edge in enumerate(row_edges, start=1):
+            if permute_rows(mutate(node, r), edge.rho.inverse()) \
+                    != graph.nodes[edge.target]:
+                return i, r
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_quotient_edges_reach_their_target_states(n):
+    # quotient_graph finds a mutated state's node by its c-row set alone,
+    # which does not see the b-part; every edge, first visit or revisit,
+    # must still reach its target node as a whole state
+    assert first_edge_state_failure(quotient(n)) is None
+
+
+def test_quotient_edge_state_check_negative_control(monkeypatch):
+    # a mutate that works on the b-part C B0 C^t of its input, but returns
+    # one b-entry with the wrong sign, keeps every c-matrix right: the
+    # build still finds the Catalan(4) nodes by their row sets, and the
+    # edge check must fail
+    real = quiverperm.search.mutate
+    b0 = ExchangeMatrix.straight_a(3).b
+
+    def flipped(state, k):
+        out = real(_trusted_state(reconstructed_b(b0, state.c), state.c), k)
+        b = [list(row) for row in out.b]
+        i, j = next((i, j) for i, row in enumerate(b)
+                    for j, x in enumerate(row) if x)
+        b[i][j] = -b[i][j]
+        return _trusted_state(tuple(map(tuple, b)), out.c)
+
+    quiverperm.search._quotient_table.cache_clear()
+    monkeypatch.setattr(quiverperm.search, "mutate", flipped)
+    try:
+        graph = quiverperm.search.quotient_graph(3)
+        assert len(graph.nodes) == 14
+        assert first_edge_state_failure(graph) is not None
+    finally:
+        quiverperm.search._quotient_table.cache_clear()
 
 
 def loop_count_by_transfer_matrix(n, max_len):

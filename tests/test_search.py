@@ -15,7 +15,7 @@ import quiverperm.search
 from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         MGSResult, Permutation, PictureWord, TrackedState,
                         Verdict, apply_sequence, build_exchange_graph,
-                        count_loops_by_replay, count_mgs,
+                        coframed, count_loops_by_replay, count_mgs,
                         count_reachable_states, enumerate_loops,
                         enumerate_mgs, find_row_permutation, framed,
                         graph_to_dot, is_all_red, is_standard, mgs_census,
@@ -81,6 +81,22 @@ def test_enumerate_mgs_equals_the_walk_on_plain_mutate(n):
     # its permutations are observed and the walk's sigma is predicted, so
     # this also checks the formula on every maximal green sequence
     assert enumerate_mgs(n) == mgs_by_tracked_walk(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mgs_permutations_move_the_coframe_to_the_endpoint(n):
+    m = framed(ExchangeMatrix.straight_a(n))
+    co = coframed(ExchangeMatrix.straight_a(n))
+    for r in enumerate_mgs(n):
+        assert r.permutation == find_row_permutation(
+            co, apply_sequence(m, r.sequence))
+
+
+def test_mgs_results_share_one_permutation_per_distinct_permutation():
+    results = enumerate_mgs(5)
+    assert len(results) == 2981
+    assert len({id(r.permutation) for r in results}) \
+        == len({r.permutation for r in results}) == 43
 
 
 def test_enumerate_mgs_walks_the_observed_rho_not_the_formula(monkeypatch):
@@ -162,7 +178,8 @@ def test_quotient_table_is_built_once_per_rank_and_keeps_no_state(
 
         monkeypatch.setattr(quiverperm.search, name, watched)
 
-    # the nodes of Q are mutated states with their rows moved back
+    # every node of Q but the framed one is a mutated state with its rows
+    # moved back, once, when its row set is first reached
     watch("mutate", made)
     watch("permute_rows", moved)
     was_enabled = gc.isenabled()
@@ -170,7 +187,8 @@ def test_quotient_table_is_built_once_per_rank_and_keeps_no_state(
     try:
         # one plain mutate per (node, row) of Q(4): 42 nodes, 4 rows
         first = enumerate_mgs(4)
-        assert len(made) == len(moved) == 42 * 4
+        assert len(made) == 42 * 4
+        assert len(moved) == 41
         assert all(ref() is None for ref in made + moved)
         census = mgs_census(4)
         assert enumerate_mgs(4) == first
@@ -535,9 +553,8 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
     pytest.param(lambda: enumerate_loops(framed(A2), 5)[3], id="LoopResult"),
 ])
 def test_results_are_slotted_and_still_pickle_copy_and_weakref(first):
-    # the searches build their results through the slot descriptors;
-    # pickling and copying must rebuild them without assigning to a frozen
-    # field
+    # the results are frozen dataclasses; pickling and copying must
+    # rebuild them without assigning to a frozen field
     result = first()
     assert not hasattr(result, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
