@@ -50,7 +50,7 @@ from .quiver import (Color, ExchangeMatrix, ExtendedExchangeMatrix, IntMatrix,
                      find_row_permutation, framed, mutate, permute_rows,
                      reconstructed_b, vertex_color)
 from .roots import SignedGenerator, vector_to_signed_root
-from .standard import factor_standard
+from .standard import _placement
 
 # named tuples, not dataclasses: a dataclass costs about a millisecond at
 # import, which every command pays
@@ -75,10 +75,13 @@ def build_exchange_graph(n: int) -> ExchangeGraph:
     n plain ``mutate`` calls per state.
 
     Two checks run on the way.  A new node's b-part must equal C B0 C^t,
-    read from a table of x B0 y^t on pairs of its c-rows that is filled as
-    pairs appear and dropped when the call returns; a revisited node's
-    b-part must equal that of the state stored for its c-matrix.  Either
-    failure raises ``AssertionError``.
+    read from ``quiver._reconstructor``'s table of x B0 y^t on pairs of
+    c-rows, which numbers each row the first time it appears and is
+    dropped when the call returns; a revisited node's b-part must equal
+    that of the state stored for its c-matrix.  Either failure raises
+    ``AssertionError``.  The node table that maps each c-matrix to its
+    index while the graph grows becomes ``nodes``: each state is written
+    into its key's value in place.
     """
     b0 = ExchangeMatrix.straight_a(n)
     reconstruct = _reconstructor(b0.b)
@@ -102,7 +105,9 @@ def build_exchange_graph(n: int) -> ExchangeGraph:
                     "with different b-parts")
             out.append(i)
         edges.append(tuple(out))
-    return ExchangeGraph(dict(zip(index, states)), tuple(edges))
+    for key, state in zip(index, states):
+        index[key] = state
+    return ExchangeGraph(index, tuple(edges))
 
 
 def count_reachable_states(n: int) -> int:
@@ -148,11 +153,14 @@ class QuotientGraph(NamedTuple):
 
 def quotient_graph(n: int) -> QuotientGraph:
     """Breadth-first build of Q from the framed straight-A_n state, one
-    plain ``mutate`` and one ``factor_standard`` per (node, row).  A
-    mutated state's node is found by its set of c-rows: moving rows keeps
-    the set, and a standard matrix is fixed by its rows.  So its rows are
-    moved back into standard order, by ``permute_rows``, only when its
-    node is new.  Edges with equal ``rho`` share one ``Permutation``."""
+    plain ``mutate`` and one ``standard._placement`` per (node, row),
+    whose inverse is the edge's ``rho``: ``factor_standard``'s, without
+    the standard matrix.  A mutated state's node is found by its set of
+    c-rows: moving rows keeps the set, and a standard matrix is fixed by
+    its rows.  So its rows are moved back into standard order, by
+    ``permute_rows``, only when its node is new.  Edges with equal
+    ``rho`` share one ``Permutation``, so each distinct placement is
+    inverted once."""
     nodes = [framed(ExchangeMatrix.straight_a(n))]
     index = {frozenset(nodes[0].c): 0}
     rhos: dict[Permutation, Permutation] = {}
@@ -161,13 +169,15 @@ def quotient_graph(n: int) -> QuotientGraph:
         out = []
         for r in range(1, n + 1):
             mutated = mutate(node, r)
-            rho = factor_standard(mutated.c).rho
-            rho = rhos.setdefault(rho, rho)
+            placement = _placement(mutated.c)
+            rho = rhos.get(placement)
+            if rho is None:
+                rho = rhos[placement] = placement.inverse()
             key = frozenset(mutated.c)
             i = index.get(key)
             if i is None:
                 i = index[key] = len(nodes)
-                nodes.append(permute_rows(mutated, rho.inverse()))
+                nodes.append(permute_rows(mutated, placement))
             out.append(QuotientEdge(vector_to_signed_root(node.c_row(r)), i,
                                     rho))
         edges.append(tuple(out))
@@ -195,7 +205,7 @@ def _quotient_table(n: int) -> _QuotientTable:
     ``_distance_to`` read, built by one ``quotient_graph(n)`` on the first
     call at rank n.  It keeps no state, so every state the build made is
     freed when it returns.  A test that corrupts Q through this module's
-    ``mutate`` or ``factor_standard`` calls ``_quotient_table.cache_clear()``
+    ``mutate`` or ``_placement`` calls ``_quotient_table.cache_clear()``
     before and after, so that the corrupted build runs and no later reader
     sees it."""
     q = quotient_graph(n)
@@ -572,17 +582,26 @@ def mgs_census(n: int) -> dict:
     }
 
 
+class _RowText(dict):
+    """A c-row's text in a DOT label, rendered the first time it is
+    asked for."""
+
+    def __missing__(self, row: tuple[int, ...]) -> str:
+        text = self[row] = " ".join(map(str, row))
+        return text
+
+
 def _dot_lines(graph: ExchangeGraph) -> Iterator[str]:
     """The lines of ``graph_to_dot``, each ending in a newline, one at a
     time, so a writer holds none of the text but the line it writes."""
     ids = [f"s{idx}" for idx in range(graph.node_count)]
-    # each distinct c-row (a signed root, at most n(n+1)) is rendered once
-    row_text = {row: " ".join(map(str, row))
-                for row in {row for key in graph.nodes for row in key}}
+    # each distinct c-row (a signed root, at most n(n+1)) is rendered once,
+    # when the first label that holds it is built
+    row_text = _RowText().__getitem__
     yield "graph exchange {\n"
     yield "  node [shape=box, fontname=monospace];\n"
     for node_id, key in zip(ids, graph.nodes):
-        label = "\\n".join([row_text[row] for row in key])
+        label = "\\n".join(map(row_text, key))
         yield f'  {node_id} [label="{label}"];\n'
     for node_id, neighbors in zip(ids, graph.edges):
         for k, other in enumerate(neighbors, start=1):

@@ -51,13 +51,11 @@ class StandardFactorization:
     m: IntMatrix
 
 
-def factor_standard(c: IntMatrix) -> Optional[StandardFactorization]:
-    """Factor ``c`` as a row permutation of a standard matrix.
-
-    Returns ``None`` when ``c`` is not square, some row is not a signed
-    root or two rows claim the same canonical position.  When a
-    factorization exists it is unique.
-    """
+def _placement(c: IntMatrix) -> Optional[Permutation]:
+    """The permutation sending each row of ``c`` to its canonical row, or
+    ``None`` when ``c`` does not factor (see ``factor_standard``, whose
+    ``rho`` is its inverse).  For callers that need only the permutation:
+    it builds neither the standard matrix nor the inverse."""
     n = len(c)
     if any(len(row) != n for row in c):
         return None
@@ -70,6 +68,18 @@ def factor_standard(c: IntMatrix) -> Optional[StandardFactorization]:
     if sorted(targets) != list(range(1, n + 1)):
         return None
     # the check above makes targets a permutation
-    placement = _trusted(tuple(targets))
+    return _trusted(tuple(targets))
+
+
+def factor_standard(c: IntMatrix) -> Optional[StandardFactorization]:
+    """Factor ``c`` as a row permutation of a standard matrix.
+
+    Returns ``None`` when ``c`` is not square, some row is not a signed
+    root or two rows claim the same canonical position.  When a
+    factorization exists it is unique.
+    """
+    placement = _placement(c)
+    if placement is None:
+        return None
     return StandardFactorization(placement.inverse(),
                                  placement.apply_to_rows(c))

@@ -19,7 +19,7 @@
 
 ``enumerate_mgs``, ``mgs_census`` and ``enumerate_loops`` read Q from
 ``search._quotient_table``, which is built once per rank and process.  A
-test that corrupts Q through ``search.mutate`` or ``search.factor_standard``
+test that corrupts Q through ``search.mutate`` or ``search._placement``
 must call ``search._quotient_table.cache_clear()`` before and after, or it
 reads the table an earlier test built and leaves its own for later ones.
 """

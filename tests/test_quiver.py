@@ -410,6 +410,43 @@ def test_reconstructor_table_matches_reconstructed_b(b0, data):
         assert reconstruct(c) == reconstructed_b(b0.b, c)
 
 
+def test_reconstructor_rank_one():
+    # itemgetter of a single row number returns the bare entry, so rank 1
+    # takes its own path; the output is still a 1 x 1 matrix
+    reconstruct = _reconstructor(A1.b)
+    for c in [((1,),), ((-1,),), ((1,),)]:
+        assert reconstruct(c) == reconstructed_b(A1.b, c) == ((0,),)
+
+
+def test_reconstructor_numbers_a_repeated_new_row_once():
+    reconstruct = _reconstructor(A3.b)
+    for c in [((1, 1, 0), (1, 1, 0), (0, 0, 1)),
+              ((0, 1, 1), (0, 1, 1), (0, 1, 1)),
+              ((1, 1, 0), (0, 1, 1), (1, 1, 0))]:
+        assert reconstruct(c) == reconstructed_b(A3.b, c)
+
+
+def test_reconstructor_table_reused_with_rows_first_seen_late():
+    # every state of n = 3, each with a row or two new to the table among
+    # rows it already holds, then all of them again from the full table
+    states = list(graph(3).nodes.values())
+    reconstruct = _reconstructor(A3.b)
+    for _ in range(2):
+        for state in states:
+            assert (reconstruct(state.c) == reconstructed_b(A3.b, state.c)
+                    == state.b)
+
+
+def test_reconstructor_on_a_b0_not_of_type_a():
+    b0 = ((0, 3, -2, 1), (-3, 0, 1, -3), (2, -1, 0, 2), (-1, 3, -2, 0))
+    reconstruct = _reconstructor(b0)
+    rng = random.Random(7)
+    pool = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(6)]
+    for _ in range(40):
+        c = tuple(rng.choice(pool) for _ in range(4))
+        assert reconstruct(c) == reconstructed_b(b0, c)
+
+
 def test_json_round_trip():
     m = apply_sequence(framed(A3), (2, 3, 1))
     data = json.loads(json.dumps(state_to_json(m)))

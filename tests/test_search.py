@@ -329,10 +329,11 @@ def test_graph_edges_are_involutive():
             assert states[j] == mutate(states[i], k)
 
 
-@pytest.mark.parametrize("n", [pytest.param(5, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4,
+                               pytest.param(5, marks=pytest.mark.slow)])
 def test_graph_states_are_consistent(n):
-    # the builder checks b-parts through its table of row pairs; this
-    # recomputes each from scratch, as criterion 6 does for n <= 4
+    # the builder checks b-parts through its table of numbered rows; this
+    # recomputes each from scratch
     b0 = ExchangeMatrix.straight_a(n).b
     for key, state in graph(n).nodes.items():
         assert state.c == key

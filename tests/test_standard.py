@@ -1,12 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quiverperm import (Permutation, Root, SignedGenerator, apply_sequence,
                         canonical_row, check_preservation, factor_standard,
                         framed, is_standard, mutate, vector_to_signed_root)
+from quiverperm.standard import _placement
 
-from common import A2, reachable
+from common import A2, graph, reachable
 
 
 def reachable_c(n):
@@ -95,6 +97,22 @@ def test_factor_standard_round_trip_on_reachable(n):
         assert is_standard(fact.m)
         assert fact.rho.apply_to_rows(fact.m) == c
         assert (fact.rho, fact.m) == factor_standard_by_search(c)
+
+
+def test_placement_inverts_to_factor_standard_rho_on_the_graph():
+    for c in graph(4).nodes:
+        assert _placement(c).inverse() == factor_standard(c).rho
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-1, 1)] * n), min_size=n, max_size=n)))
+def test_placement_fails_exactly_when_factor_standard_does(rows):
+    c = tuple(rows)
+    fact = factor_standard(c)
+    placement = _placement(c)
+    assert (placement is None) == (fact is None)
+    if fact is not None:
+        assert placement.inverse() == fact.rho
 
 
 def test_check_preservation_simple_generator():
