@@ -153,12 +153,13 @@ def verify(m: ExtendedExchangeMatrix, seq: Sequence[int],
     The sequence is walked on this thread's ``search.ExchangeWalk`` from
     the node ``m`` is rooted at (``search._walk_for``).  The walk is kept
     while this thread's calls here and to ``enumerate_loops`` are given
-    starts equal to states on it, and the caller holds the start of the
-    call before, so that calls checking many sequences from one start, or
-    from many starts of one component, mutate each distinct
-    (state, vertex) step once, and none at all after ``enumerate_loops``
-    listed them, and factor each distinct endpoint once per start; any
-    other start gets a fresh walk.  Each root's sigma, its inverse and,
+    starts equal to states on it, or reachable states of straight A_n
+    that join it, and the caller holds the start of the call before, so
+    that calls checking many sequences from one start, or from many
+    starts of one component, mutate each distinct (state, vertex) step
+    once, and none at all after ``enumerate_loops`` listed them, and
+    factor each distinct endpoint once per start; any other start gets a
+    fresh walk.  Each root's sigma, its inverse and,
     for each node a sequence from it ended at, the endpoint's sigma's
     images and the observation are kept in the walk's ``_memo``, so they
     go with it.  The prediction is folded afresh on every call and never

@@ -14,22 +14,24 @@ its counts off the same graph without listing; ``count_mgs`` and the other
 counting functions mutate plain states.  ``ExchangeWalk`` is the one lazily
 built piece of an exchange graph, and each thread keeps one
 (``_walk_for``): while the caller holds the start of the call before, every
-start equal to a state already on it is rooted at that state's node, and
-any other start replaces it.  ``enumerate_loops`` walks it from the start's
-root and drops a prefix once the steps it needs to come back to the start
-up to a row permutation exceed the steps it has left: its distance on Q,
-or two from a state that is already back, since Q has no edge from a node
-to itself.  ``formula.verify`` walks each sequence on the same walk, so
+start equal to a state already on it is rooted at that state's node, a
+reachable state of straight A_n joins a walk of its rank as a new root,
+and any other start replaces it.  ``enumerate_loops`` walks it from the
+start's root, drops a prefix once the steps it needs to come back to the
+start up to a row permutation exceed the steps it has left (its distance
+on Q, or two from a state that is already back, since Q has no edge from a
+node to itself) and tests for a loop only the states with the start's set
+of c-rows.  ``formula.verify`` walks each sequence on the same walk, so
 verifying the loops just listed mutates nothing again, and the loops of
 every state of one component mutate each (state, vertex) pair once in
-all.  ``quotient_graph`` finds each mutated state's node by its set of
-c-rows.  All three readers of Q read the per-rank Q table
-``_quotient_table``, built by one ``quotient_graph`` on the first call at
-each rank; it keeps Q's row sets, its edges and the green steps
-``enumerate_mgs`` takes, but no state.  Permutations here are observed,
-never predicted: the transposition formula is not visible to this module.
-``graph_to_dot`` joins the lines of ``_dot_lines``, which the CLI writes
-one at a time.
+all, whatever the order of the starts.  ``quotient_graph`` finds each
+mutated state's node by its set of c-rows.  All three readers of Q read
+the per-rank Q table ``_quotient_table``, built by one ``quotient_graph``
+on the first call at each rank; it keeps Q's row sets, its edges and the
+green steps ``enumerate_mgs`` takes, but no state.  Permutations here are
+observed, never predicted: the transposition formula is not visible to
+this module.  ``graph_to_dot`` joins the lines of ``_dot_lines``, which
+the CLI writes one at a time.
 """
 
 from __future__ import annotations
@@ -79,14 +81,18 @@ def build_exchange_graph(n: int) -> ExchangeGraph:
     c-rows, which numbers each row the first time it appears and is
     dropped when the call returns; a revisited node's b-part must equal
     that of the state stored for its c-matrix.  Either failure raises
-    ``AssertionError``.  The node table that maps each c-matrix to its
-    index while the graph grows becomes ``nodes``: each state is written
-    into its key's value in place.
+    ``AssertionError``.  A new node's b-part is then interned: a state
+    whose b-part equals an earlier node's is rebuilt by
+    ``quiver._trusted_state`` on that node's tuple, so the 15840 states
+    at n = 5 hold 1980 b-parts.  The node table that maps each c-matrix to
+    its index while the graph grows becomes ``nodes``: each state is
+    written into its key's value in place.
     """
     b0 = ExchangeMatrix.straight_a(n)
     reconstruct = _reconstructor(b0.b)
     states = [framed(b0)]
     index = {states[0].c: 0}
+    b_parts = {states[0].b: states[0].b}
     edges = []
     for state in states:  # grows while it is walked
         out = []
@@ -94,9 +100,13 @@ def build_exchange_graph(n: int) -> ExchangeGraph:
             neighbor = mutate(state, k)
             i = index.get(neighbor.c)
             if i is None:
-                if neighbor.b != reconstruct(neighbor.c):
+                b = neighbor.b
+                if b != reconstruct(neighbor.c):
                     raise AssertionError(
                         "b-part disagrees with C B0 C^t at a new node")
+                shared = b_parts.setdefault(b, b)
+                if shared is not b:
+                    neighbor = _trusted_state(shared, neighbor.c)
                 i = index[neighbor.c] = len(states)
                 states.append(neighbor)
             elif states[i].b != neighbor.b:
@@ -317,7 +327,9 @@ class ExchangeWalk:
 
     Node 0 is ``states[0]``, a copy of the walk's first start;
     ``states[i]`` is node i's state and ``_nodes`` maps each state,
-    compared by value, back to its index.  Any node can root a walk.
+    compared by value, back to its index.  Any node can root a walk, and
+    ``add`` makes a node for a state no step has reached yet, such as a
+    start that joins the walk (``_walk_for``).
     ``step(i, k)`` mutates node i at vertex k with plain ``mutate`` the
     first time and keeps ``(generator, target node)`` in the slot
     ``_steps[i][k - 1]``; a later step there is a lookup.  The generator is
@@ -336,10 +348,16 @@ class ExchangeWalk:
     __slots__ = ("states", "_nodes", "_steps", "_memo")
 
     def __init__(self, m: ExtendedExchangeMatrix):
-        self.states = [m]
-        self._nodes = {m: 0}
-        self._steps = [[None] * m.n]
-        self._memo = {}
+        self.states, self._nodes, self._steps, self._memo = [], {}, [], {}
+        self.add(m)
+
+    def add(self, m: ExtendedExchangeMatrix) -> int:
+        """A new node for ``m``, a state not on the walk yet, with its
+        slots empty."""
+        i = self._nodes[m] = len(self.states)
+        self.states.append(m)
+        self._steps.append([None] * m.n)
+        return i
 
     def step(self, node: int, k: int) -> int:
         """The node that vertex ``k`` leads to from ``node``.  A vertex out
@@ -350,33 +368,36 @@ class ExchangeWalk:
             return slot[1]
         state = self.states[node]
         target = mutate(state, k)
-        i = self._nodes.setdefault(target, len(self.states))
-        if i == len(self.states):
-            self.states.append(target)
-            self._steps.append([None] * len(steps))
+        i = self._nodes.get(target)
+        if i is None:
+            i = self.add(target)
         steps[k - 1] = vector_to_signed_root(state.c_row(k)), i
         return i
 
     def run(self, seq: Sequence[int],
             root: int) -> tuple[list[SignedGenerator], int]:
         """The generators ``seq`` spells from node ``root`` and the node it
-        ends at.  Filled slots are read in this loop and ``step`` runs only
-        on the rest.  A vertex out of range raises ``mutate``'s
-        ``IndexError``, and a step whose c-vector spells no signed root
-        raises ``ValueError``."""
-        slots, n = self._steps, len(self._steps[0])
+        ends at.  Each step reads its slot with one index and one unpack;
+        only an empty slot or a vertex outside 1..n, which cannot be
+        unpacked, goes to ``step``, which fills the one and raises
+        ``mutate``'s ``IndexError`` for the other.  A step whose c-vector
+        spells no signed root raises ``ValueError``."""
+        slots = self._steps
         node, factors = root, []
         for k in seq:
-            steps = slots[node]
-            slot = steps[k - 1] if 0 < k <= n else None
-            if slot is None:
-                self.step(node, k)
-                slot = steps[k - 1]
-            g, target = slot
+            try:
+                # k - 1 would wrap round for a vertex below 1
+                g, target = slots[node][k - 1] if k > 0 else None
+            except (TypeError, IndexError):
+                g = target = None
             if g is None:
-                raise ValueError(
-                    f"c-vector of vertex {k} is not a signed root: "
-                    f"{self.states[node].c_row(k)}")
+                if target is None:
+                    target = self.step(node, k)
+                    g = slots[node][k - 1][0]
+                if g is None:
+                    raise ValueError(
+                        f"c-vector of vertex {k} is not a signed root: "
+                        f"{self.states[node].c_row(k)}")
             factors.append(g)
             node = target
         return factors, node
@@ -392,13 +413,17 @@ def _walk_for(m: ExtendedExchangeMatrix) -> tuple[ExchangeWalk, int]:
 
     The start object of the last call is found by an identity test.  While
     that object is alive, a start equal to a state on the walk is rooted at
-    that state's node.  Any other start replaces the walk by a new one from
-    a copy of it, rooted at node 0, and the old walk's states are freed.  A
-    start off the walk is never added as a second root, so a walk never
-    mixes states of two components or ranks.  The walk never holds the
-    caller's object, so a run whose starts were all dropped leaves nothing
-    that a later run's counts depend on.  ``enumerate_loops`` and
-    ``formula.verify`` both read it."""
+    that state's node.  A start off the walk joins it as a new root, a copy
+    of it, when it and the walk's first state are reachable states of
+    straight A_n at one rank (``_q_node``): the exchange graph of straight
+    A_n is connected, so the walk still holds states of one component, and
+    each (state, vertex) pair of it is mutated once however the starts are
+    ordered.  Any other start replaces the walk by a new one from a copy
+    of it, rooted at node 0, and the old walk's states are freed; so a
+    walk never mixes states of two components or ranks.  The walk never
+    holds the caller's object, so a run whose starts were all dropped
+    leaves nothing that a later run's counts depend on.
+    ``enumerate_loops`` and ``formula.verify`` both read it."""
     last = getattr(_local, "last", None)
     previous = None if last is None else last[0]()
     if previous is m:
@@ -406,7 +431,13 @@ def _walk_for(m: ExtendedExchangeMatrix) -> tuple[ExchangeWalk, int]:
     walk = None if previous is None else last[1]
     root = None if walk is None else walk._nodes.get(m)
     if root is None:
-        walk, root = ExchangeWalk(_trusted_state(m.b, m.c)), 0
+        copy = _trusted_state(m.b, m.c)
+        first = None if walk is None else walk.states[0]
+        if (first is not None and first.n == m.n and _q_node(m) is not None
+                and _q_node(first) is not None):
+            root = walk.add(copy)
+        else:
+            walk, root = ExchangeWalk(copy), 0
     _local.last = weakref.ref(m), walk, root
     return walk, root
 
@@ -427,40 +458,60 @@ def _straight_b(n: int) -> IntMatrix:
     return ExchangeMatrix.straight_a(n).b
 
 
-def _distance_to(m: ExtendedExchangeMatrix
-                 ) -> Callable[[ExtendedExchangeMatrix], int]:
-    """A lower bound, at least 1, on the steps a state reached from ``m``
-    needs to come back to ``m`` up to a row permutation.
+def _q_node(m: ExtendedExchangeMatrix) -> int | None:
+    """The index of ``m``'s node on Q when ``m`` is a reachable state of
+    straight A_n, else ``None``.
 
-    For a relabelled standard state of straight A_n it is exact: the
-    distance on Q between the two states' nodes, from one breadth-first
-    search that reads the per-rank Q table, or 2 for a state of ``m``'s
-    row-permutation class itself.  Every exchange-graph path projects onto
-    a Q path and every Q path lifts from any lift of its source, so the Q
-    distance is the distance to the class; and no edge of Q joins a node
-    to itself, so a state of the class leaves it at every step and is back
-    after two at the soonest, by a trivial loop (k, k).  Any other ``m``
-    gets 1 everywhere, the least any return takes: with no distances
-    known, a larger bound would drop states one step from the class.  The
-    b-part is checked first, because framed states of other matrices
-    share Q's framed row set.
-    """
+    Reachable means a standard state with its rows moved: a row set of
+    Q's and the b-part C B0 C^t that the c-matrix fixes.  The b-part is
+    checked first, because framed states of other matrices share Q's
+    framed row set, and the per-rank Q table is read only if it holds."""
     n = m.n
-    if m.b == reconstructed_b(_straight_b(n), m.c):
-        index, edges, _ = _quotient_table(n)
-        start = index.get(frozenset(m.c))
-        if start is not None:
-            distance = [None] * len(edges)
-            distance[start] = 0
-            frontier = [start]
-            for i in frontier:  # grows while it is walked
-                for edge in edges[i]:
-                    j = edge.target
-                    if distance[j] is None:
-                        distance[j] = distance[i] + 1
-                        frontier.append(j)
-            return lambda state: distance[index[frozenset(state.c)]] or 2
-    return lambda state: 1
+    if m.b != reconstructed_b(_straight_b(n), m.c):
+        return None
+    return _quotient_table(n).index.get(frozenset(m.c))
+
+
+def _distance_to(m: ExtendedExchangeMatrix
+                 ) -> Callable[[ExtendedExchangeMatrix], tuple[int, bool]]:
+    """For a state reached from ``m``: a lower bound, at least 1, on the
+    steps it needs to come back to ``m`` up to a row permutation, and
+    whether it has ``m``'s set of c-rows, which a row permutation keeps,
+    so that only such a state can close a loop.
+
+    For a relabelled standard state of straight A_n (``_q_node``) the
+    bound is exact: the distance on Q between the two states' nodes, from
+    one breadth-first search that reads the per-rank Q table, or 2 for a
+    state of ``m``'s node, whose row set is ``m``'s.  Every exchange-graph
+    path projects onto a Q path and every Q path lifts from any lift of
+    its source, so the Q distance is the distance to the class; and no
+    edge of Q joins a node to itself, so a state of the class leaves it at
+    every step and is back after two at the soonest, by a trivial loop
+    (k, k).  The row set is the frozenset the node lookup already builds.
+    Any other ``m`` gets 1 everywhere, the least any return takes: with no
+    distances known, a larger bound would drop states one step from the
+    class; its row sets are compared directly.
+    """
+    start = _q_node(m)
+    if start is None:
+        rows = frozenset(m.c)
+        return lambda state: (1, frozenset(state.c) == rows)
+    index, edges, _ = _quotient_table(m.n)
+    distance = [None] * len(edges)
+    distance[start] = 0
+    frontier = [start]
+    for i in frontier:  # grows while it is walked
+        for edge in edges[i]:
+            j = edge.target
+            if distance[j] is None:
+                distance[j] = distance[i] + 1
+                frontier.append(j)
+
+    def measure(state):
+        far = distance[index[frozenset(state.c)]]
+        return far or 2, not far
+
+    return measure
 
 
 def enumerate_loops(m: ExtendedExchangeMatrix,
@@ -473,18 +524,24 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     The prefixes walk this thread's ``ExchangeWalk`` by node from the
     node ``m`` is rooted at (``_walk_for``), so the walk outlives the call
     until this thread next enumerates or verifies from a start that is
-    not rooted on it, and the next start the search reached costs no
-    mutation.  A prefix with r steps left goes on only if its node can
-    come back to ``m``'s row-permutation class within r steps, by
-    ``_distance_to``: on straight A_n its distance to the class, or 2 for
-    a node in the class, so every prefix that goes on closes at least one
-    loop; off straight A_n every prefix with a step left goes on.  The
-    recursion carries the steps left.  The loop test
-    ``find_row_permutation`` and the distance are kept per node for the
-    call, so mutation runs at most once per distinct (state, vertex) pair
-    the search expands and the loop test once per distinct state it
-    reaches, not once per prefix.  The search recurses per step: past half
-    the recursion limit it raises ValueError.
+    neither on it nor able to join it, and the next start the search
+    reached costs no mutation.  A prefix with r steps left goes on only if
+    its node can come back to ``m``'s row-permutation class within r
+    steps, by ``_distance_to``: on straight A_n its distance to the class,
+    or 2 for a node in the class, so every prefix that goes on closes at
+    least one loop; off straight A_n every prefix with a step left goes
+    on.  The recursion carries the steps left.  A row permutation keeps
+    the set of c-rows, so the loop test ``find_row_permutation`` runs only
+    on a state with ``m``'s row set, which ``_distance_to`` reports with
+    the bound; any other state closes no loop.  Both are kept per node for
+    the call, so mutation runs at most once per distinct (state, vertex)
+    pair the search expands and the loop test once per distinct state of
+    ``m``'s row set it reaches, not once per prefix: at n = 3, L = 7 the
+    84 starts make 300 tests, where testing every reached state took 4860.
+    ``m`` itself is always tested, so a start with two equal c-rows raises
+    ``find_row_permutation``'s "ambiguous" ``ValueError``.  The search
+    recurses per step: past half the recursion limit it raises
+    ValueError.
     """
     deepest = sys.getrecursionlimit() // 2
     if max_len > deepest:
@@ -495,8 +552,9 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
     distance = _distance_to(m)
     walk, root = _walk_for(m)
     # the walk may hold nodes from earlier calls, so a node's loop
-    # permutation and distance are kept the first time this call reaches it
-    known = {root: (find_row_permutation(m, m), distance(m))}
+    # permutation (None off m's row set) and distance are kept the first
+    # time this call reaches it
+    known = {root: (find_row_permutation(m, m), distance(m)[0])}
     out: list[LoopResult] = []
     seq: list[int] = []
 
@@ -507,8 +565,9 @@ def enumerate_loops(m: ExtendedExchangeMatrix,
             entry = known.get(target)
             if entry is None:
                 state = walk.states[target]
-                entry = known[target] = (find_row_permutation(m, state),
-                                         distance(state))
+                far, same = distance(state)
+                entry = known[target] = (
+                    find_row_permutation(m, state) if same else None, far)
             rho, far = entry
             seq.append(k)
             if rho is not None:

@@ -1,6 +1,7 @@
 """Inputs that several test modules share.
 
-- ``A2``, ``A3`` and the rank-2 generators ``X01``, ``X02``, ``X12``;
+- ``A2``, ``A3``, ``MIRRORED_A3`` (A3 oriented the other way) and the
+  rank-2 generators ``X01``, ``X02``, ``X12``;
 - ``graph`` and ``quotient``: one build of the exchange graph and of the
   standard quotient graph per rank, for tests that only read them;
 - ``reachable``: a breadth-first closure of the framed straight-A_n state
@@ -37,6 +38,9 @@ from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, Root,
 
 A2 = ExchangeMatrix.straight_a(2)
 A3 = ExchangeMatrix.straight_a(3)
+# 1 <- 2 <- 3: its framed state has straight A3's c-matrix, and only the
+# b-part tells the two apart
+MIRRORED_A3 = ExchangeMatrix(((0, -1, 0), (1, 0, -1), (0, 1, 0)))
 
 X01 = SignedGenerator(Root(0, 1))
 X02 = SignedGenerator(Root(0, 2))

@@ -23,9 +23,9 @@ from quiverperm import (ExchangeMatrix, ExtendedExchangeMatrix, FormulaReport,
                         relations, transposition_of, verify,
                         word_from_sequence)
 
-from common import (A2, A3, X01, X02, X12, current_walk, drop_transposition,
-                    endpoint, graph, in_fresh_thread, reachable,
-                    skew_symmetric)
+from common import (A2, A3, MIRRORED_A3, X01, X02, X12, current_walk,
+                    drop_transposition, endpoint, graph, in_fresh_thread,
+                    reachable, skew_symmetric)
 
 
 def test_transposition_of():
@@ -391,17 +391,19 @@ def gc_disabled():
 def test_walk_frees_its_states_when_the_start_changes():
     # the walk holds every state its sequences reached from its roots; held
     # by a reference cycle, they would outlive the walk until the next
-    # cyclic collection.  A start equal to none of them replaces the walk
+    # cyclic collection.  A start equal to none of them that cannot join
+    # it, here mirrored A3, whose row set is the framed one, replaces the
+    # walk
     def check():
         a = framed(A3)
-        off = apply_sequence(a, (1,))
+        off = framed(MIRRORED_A3)
         verify(a, (2, 1, 2))
         walk, root = current_walk()
         assert off not in walk._nodes
         reached = weakref.ref(endpoint(walk, root, (2, 1)))
         del walk
         assert reached() == apply_sequence(a, (2, 1))
-        verify(off, (1,))
+        verify(off, ())
         assert reached() is None
         walk, root = current_walk()
         assert walk.states[0] == off and root == 0
@@ -427,6 +429,59 @@ def test_a_start_on_the_walk_frees_nothing():
 
     with gc_disabled():
         in_fresh_thread(check)
+
+
+def test_a_reachable_start_off_the_walk_joins_it():
+    # a reachable straight-A3 state that no sequence has reached yet joins
+    # the walk as a new root, a copy of it, and frees nothing; so do the
+    # starts after it, and a state reached from it is reached from the
+    # walk's other roots too
+    def check():
+        a = framed(A3)
+        verify(a, (2, 1, 2))
+        walk, _ = current_walk()
+        held = [weakref.ref(state) for state in walk.states]
+        # held, since a walk serves only while its last start is alive
+        starts = [apply_sequence(a, seq) for seq in [(1,), (1, 3, 2),
+                                                     (3, 2, 3)]]
+        for off in starts:
+            assert off not in walk._nodes
+            verify(off, (1,))
+            assert current_walk()[0] is walk
+            root = current_walk()[1]
+            assert walk.states[root] == off and walk.states[root] is not off
+        assert all(ref() is not None for ref in held)
+        # a step from node 0 lands on the joined root, not on a second node
+        # for an equal state
+        assert walk.step(0, 1) == walk._nodes[apply_sequence(a, (1,))]
+        assert len(walk._nodes) == len(walk.states)
+
+    in_fresh_thread(check)
+
+
+@pytest.mark.parametrize("first,then", [
+    pytest.param(framed(A3), framed(MIRRORED_A3), id="mirrored-start"),
+    pytest.param(framed(MIRRORED_A3), apply_sequence(framed(A3), (1,)),
+                 id="mirrored-walk"),
+    pytest.param(framed(A3), framed(ExchangeMatrix(
+        ((0, 2, 0), (-2, 0, 1), (0, -1, 0)))), id="double-arrow"),
+    pytest.param(framed(A3), framed(A2), id="other-rank"),
+    pytest.param(framed(A2), apply_sequence(framed(A3), (1,)),
+                 id="other-rank-walk"),
+])
+def test_a_start_that_is_not_straight_a_at_the_walk_rank_never_joins(
+        first, then):
+    # joining needs both the start and the walk's first state to be
+    # reachable states of straight A_n at one rank; off type A, with the
+    # orientation reversed or at another rank, the start gets a fresh walk
+    def check():
+        verify(first, ())
+        walk, _ = current_walk()
+        verify(then, ())
+        fresh, root = current_walk()
+        assert fresh is not walk and root == 0 and fresh.states == [then]
+
+    in_fresh_thread(check)
 
 
 def test_shared_walk_edge_cases():
@@ -530,13 +585,35 @@ def test_verify_mutates_nothing_after_enumerate_loops(monkeypatch):
     assert len(mutated) == len(set(mutated)) == 3 * len(starts) == 252
 
 
+@pytest.mark.parametrize("seed", range(11))
+def test_any_order_of_basepoints_mutates_each_pair_once(monkeypatch, seed):
+    # the benchmark's loop pass with its basepoints shuffled: a basepoint
+    # that no earlier search reached joins the walk rather than replacing
+    # it, so the 3 x 84 (state, vertex) pairs are mutated once each in
+    # every order
+    quiverperm.search._quotient_table(3)  # mutates through the same module
+    starts = list(graph(3).nodes.values())
+    random.Random(seed).shuffle(starts)
+    mutated = []
+    real = quiverperm.search.mutate
+    monkeypatch.setattr(quiverperm.search, "mutate",
+                        lambda m, k: mutated.append((m, k)) or real(m, k))
+
+    def check():
+        for m in starts:
+            for loop in enumerate_loops(m, 7):
+                verify(m, loop.sequence)
+
+    in_fresh_thread(check)
+    assert len(mutated) == len(set(mutated)) == 252
+
+
 def test_enumerate_loops_frees_the_states_verify_reached(monkeypatch):
-    # one walk per thread: enumerating from a start off the walk replaces
-    # the walk verify left, and every state on it is freed with no cyclic
-    # collection
+    # one walk per thread: enumerating from a start that cannot join the
+    # walk verify left, here mirrored A3, replaces it, and every state on
+    # it is freed with no cyclic collection
     a = framed(A3)
-    near = set(reachable(3, 4))
-    far = next(s for s in graph(3).nodes.values() if s not in near)
+    far = framed(MIRRORED_A3)
     reached = []
     real = quiverperm.search.mutate
 
@@ -597,19 +674,25 @@ def test_a_run_whose_starts_were_dropped_shares_no_walk(monkeypatch):
 def test_alternating_starts_on_one_thread_match_fresh_threads(b0, data):
     # starts of A3, of A2 and of a b0 of any type, alternated on one
     # thread: every report equals a fresh thread's, a start equal to a
-    # state on the walk is rooted there, and any other start replaces the
-    # walk.  Rooting a start off the walk on it instead would mix states of
-    # two ranks on one walk
+    # state on the walk is rooted there, a reachable straight-A_n start
+    # joins a walk from one at its rank, and any other start replaces the
+    # walk.  Rooting any other start on the walk instead would mix states
+    # of two ranks or components on one walk
     starts = [framed(A3), apply_sequence(framed(A3), (2, 1)), framed(A2),
               apply_sequence(framed(A2), (1,)), framed(b0)]
     calls = data.draw(st.lists(st.tuples(
         st.sampled_from(starts),
         st.lists(st.integers(1, 4), max_size=6)), min_size=1, max_size=12))
 
+    def straight(m):
+        return graph(m.n).nodes.get(m.c) == m
+
     def check():
         walk = None
         for m, seq in calls:
-            on = walk is not None and m in walk._nodes
+            first = None if walk is None else walk.states[0]
+            on = walk is not None and (m in walk._nodes or (
+                first.n == m.n and straight(first) and straight(m)))
             got = outcome(verify, m, seq)
             assert got == in_fresh_thread(outcome, verify, m, seq)
             previous = walk

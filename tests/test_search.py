@@ -23,8 +23,8 @@ from quiverperm import (Color, ExchangeMatrix, ExtendedExchangeMatrix,
                         reconstructed_b, vector_to_signed_root, verify,
                         vertex_color)
 
-from common import (A2, A3, X01, X02, X12, drop_transposition, graph,
-                    in_fresh_thread, reachable, skew_symmetric)
+from common import (A2, A3, MIRRORED_A3, X01, X02, X12, drop_transposition,
+                    graph, in_fresh_thread, reachable, skew_symmetric)
 
 
 def test_enumerate_mgs_rank1():
@@ -288,6 +288,50 @@ def test_mgs_length_bounds(n):
     assert census["max_length"] == n * (n + 1) // 2
 
 
+def reversed_mgs(result, w0):
+    """The sequence that reverses ``result``'s: its vertices last first,
+    each moved by f = w0 o pi^{-1}, with pi the result's permutation."""
+    f = w0 * result.permutation.inverse()
+    return tuple(f(k) for k in reversed(result.sequence))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reversing_a_maximal_green_sequence_is_an_involution(n):
+    # walked backwards from the coframe, a maximal green sequence is one
+    # again once its vertices are relabelled by w0 o pi^{-1}; the image's
+    # permutation is w0 o pi^{-1} o w0, and reversing twice gives the
+    # sequence back
+    w0 = Permutation(tuple(range(n, 0, -1)))
+    results = {r.sequence: r for r in enumerate_mgs(n)}
+    for r in results.values():
+        image = results[reversed_mgs(r, w0)]
+        assert image.permutation == w0 * r.permutation.inverse() * w0
+        assert reversed_mgs(image, w0) == r.sequence
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reversal_conjugates_the_formula_by_w0(n):
+    # the formula's permutation of the reversed sequence is w0 o p^{-1} o w0
+    # for the formula's p of the sequence itself
+    w0 = Permutation(tuple(range(n, 0, -1)))
+    m = framed(ExchangeMatrix.straight_a(n))
+    for r in enumerate_mgs(n):
+        predicted = verify(m, r.sequence).formula_perm
+        image = verify(m, reversed_mgs(r, w0))
+        assert image.verdict is Verdict.MATCH
+        assert image.formula_perm == w0 * predicted.inverse() * w0
+
+
+def test_reversal_by_w0_alone_leaves_the_sequences():
+    # negative control: relabelled by w0 alone, without pi^{-1}, the
+    # reversed (2, 1, 2) at n = 2 is (1, 2, 1), no maximal green sequence
+    w0 = Permutation((2, 1))
+    sequences = {r.sequence for r in enumerate_mgs(2)}
+    reversed_by_w0 = {tuple(w0(k) for k in reversed(seq)) for seq in sequences}
+    assert (1, 2, 1) in reversed_by_w0
+    assert not reversed_by_w0 <= sequences
+
+
 def test_build_exchange_graph_rank1():
     assert graph(1).node_count == 2
     assert list(graph(1).nodes) == [((1,),), ((-1,),)]
@@ -316,6 +360,20 @@ def test_build_exchange_graph_mutates_once_per_state_and_vertex(n,
     monkeypatch.setattr(quiverperm.search, "mutate", counted)
     built = build_exchange_graph(n)
     assert len(calls) == len(set(calls)) == n * built.node_count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_graph_states_share_one_b_part_per_value(n):
+    # a new node's b-part is interned: states with equal b-parts hold one
+    # tuple.  The graph is still the closure under plain mutate
+    built = build_exchange_graph(n)
+    states = list(built.nodes.values())
+    b_parts = [state.b for state in states]
+    assert len({id(b) for b in b_parts}) == len(set(b_parts)) < len(states)
+    assert built.nodes == {state.c: state for state in reachable(n)}
+    for i, neighbors in enumerate(built.edges):
+        for k, j in enumerate(neighbors, start=1):
+            assert states[j] == mutate(states[i], k)
 
 
 def test_graph_edges_are_involutive():
@@ -471,6 +529,35 @@ def test_enumerate_loops_matches_flat_replay_on_drawn_starts(m, max_len):
     assert_loops_match_flat_replay(m, max_len)
 
 
+@pytest.mark.parametrize("m", [
+    pytest.param(framed(A3), id="A3"),
+    pytest.param(framed(MIRRORED_A3), id="mirrored-A3"),
+])
+def test_a_gate_that_skips_a_class_state_loses_its_loops(monkeypatch, m):
+    # negative control: the search tests a state for a loop only when it
+    # has m's set of c-rows.  A gate that also turned one such state away,
+    # one that m reaches by a loop with a nontrivial permutation, loses
+    # that state's loops, and the flat replay sees it, on Q's branch of
+    # the gate and off it
+    reference = flat_replay(m, 6)
+    victim = next(apply_sequence(m, seq) for seq, rho in reference
+                  if not rho.is_identity())
+    real = quiverperm.search._distance_to
+
+    def skipping(start):
+        measure = real(start)
+
+        def gate(state):
+            far, same = measure(state)
+            return far, same and state != victim
+        return gate
+
+    monkeypatch.setattr(quiverperm.search, "_distance_to", skipping)
+    got = listed(m, 6)
+    assert len(got) < len(reference)
+    assert set(got) < set(reference)
+
+
 def distances(edges, sources):
     """Breadth-first distances on the exchange graph from a set of nodes."""
     out = dict.fromkeys(sources, 0)
@@ -488,6 +575,7 @@ def test_every_class_state_needs_two_steps_back(n):
     # the bound the search prunes by, against distances on the exchange
     # graph: a state of the start's row-permutation class comes back in
     # two steps and no fewer, any other state in exactly its distance to
+    # the class; and the states the search tests for a loop are exactly
     # the class
     states = list(graph(n).nodes.values())
     edges = graph(n).edges
@@ -497,7 +585,8 @@ def test_every_class_state_needs_two_steps_back(n):
                                  if find_row_permutation(m, s) is not None])
         for i, s in enumerate(states):
             steps = 1 + min(back[j] for j in edges[i])
-            assert steps == (back[i] or 2) == distance(s)
+            assert steps == (back[i] or 2)
+            assert distance(s) == (steps, back[i] == 0)
 
 
 @pytest.mark.parametrize("m,max_len", [
@@ -542,9 +631,14 @@ def test_enumerate_loops_mutates_each_step_and_tests_each_state_once(
                 if d < max_len and d + (back[i] or 2) <= max_len}
     reached = expanded.union(*(edges[i] for i in expanded))
     # one mutation per step of an expanded state; one loop test per state
-    # reached, the start included
+    # reached that has m's set of c-rows, the start included, since a row
+    # permutation keeps the set and no other state can close a loop
+    rows = set(m.c)
     assert len(mutated) == 3 * len(expanded)
-    assert len(tested) == len(reached)
+    assert len(tested) == len(set(tested)) \
+        == sum(set(states[i].c) == rows for i in reached)
+    assert set(tested) == {states[i] for i in reached
+                           if set(states[i].c) == rows}
     if max_len > 2:  # fewer than every state within max_len - 1 steps
         assert len(expanded) < sum(d < max_len for d in start.values())
 
